@@ -64,8 +64,10 @@ bench-perf-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scaling.py -k engine_speedup --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
-# quick bulk-engine + sharded control-plane bench (CI gates: three-way
-# report bit-identity, the bulk full tick and per-stage costs — stages 1
+# quick bulk-engine + control-plane bench: three engines, then the
+# serial in-process NodeManager vs the shm-sharded ShardedNodeManager
+# (CI gates: three-way engine report bit-identity, serial/shm allocations
+# identical per node, the bulk full tick and per-stage costs — stages 1
 # and 6 included — within tolerance of the committed baseline, and the
 # dense-host single-process tick inside one 1 s control period)
 bench-bulk-smoke:
@@ -88,9 +90,10 @@ bench-rebalance-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick cluster-plane scale pass: 64-node chaos control loop on the
-# arrays dialect + 8-node threaded/sharded/shared-memory tick parity
-# (CI gates: snapshot+plan p50 and the sharded shm tick fit one control
-# period; no gated leaf regresses against the committed baselines)
+# arrays dialect + 8-node serial vs shm-sharded tick parity (CI gates:
+# snapshot+plan p50 and the sharded shm tick fit one control period; no
+# gated leaf regresses against, or goes missing from, the committed
+# baselines)
 bench-cluster-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_cluster_scale.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py

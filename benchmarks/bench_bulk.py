@@ -8,8 +8,9 @@ Three measurements back the bulk-array backend API (docs/api.md):
 2. a 10k-VM single-process ``bulk`` tick, which must fit inside one
    1 s control period — the paper's "negligible fraction of the
    period" requirement (§III-B2) pushed to cloud-host density;
-3. the node-scaling curve of the threaded ``NodeManager`` versus the
-   process-sharded ``ShardedNodeManager`` driving the same cluster.
+3. the node-scaling curve of the serial in-process ``NodeManager``
+   versus the process-sharded ``ShardedNodeManager`` (shared-memory
+   telemetry) driving the same cluster.
 
 All numbers land in ``benchmarks/results/BENCH_controller.json``
 (sections ``bulk``/``tick10k``/``sharded``, ``*_smoke`` variants under
@@ -229,7 +230,7 @@ def test_tick_10k_inside_control_period(once):
     )
 
 
-# -- 3. threaded vs sharded control-plane scaling --------------------------------
+# -- 3. serial vs sharded control-plane scaling ----------------------------------
 
 NODE_COUNTS = (2,) if PERF_SMOKE else (2, 4, 8)
 VMS_PER_NODE = 4 if PERF_SMOKE else 16
@@ -268,7 +269,7 @@ def _cluster_node(seed, vms_per_node):
 
 def _build_group(node_ids, vms_per_node):
     """Nodes + controllers for a shard (also used in-process for the
-    threaded comparison — both planes run identical clusters)."""
+    serial comparison — both planes run identical clusters)."""
     nodes, controllers = [], {}
     for nid in node_ids:
         seed = 100 + int(nid.split("-")[1])
@@ -298,10 +299,10 @@ def _shard_map(num_nodes, vms_per_node):
     }
 
 
-def _measure_threaded(num_nodes, vms_per_node, ticks):
+def _measure_serial(num_nodes, vms_per_node, ticks):
     node_ids = [f"node-{i}" for i in range(num_nodes)]
     nodes, controllers = _build_group(node_ids, vms_per_node)
-    manager = NodeManager(controllers, parallel=True)
+    manager = NodeManager(controllers)
 
     def one_tick(t):
         for node in nodes:
@@ -318,6 +319,8 @@ def _measure_threaded(num_nodes, vms_per_node, ticks):
 
 
 def _measure_sharded(num_nodes, vms_per_node, ticks):
+    """Median tick, last tick's errors and every node's final report
+    (fetched after the timed ticks)."""
     with ShardedNodeManager(_shard_map(num_nodes, vms_per_node)) as manager:
         manager.tick(1.0)  # warm (workers already built by __enter__)
         walls, result = [], None
@@ -325,30 +328,36 @@ def _measure_sharded(num_nodes, vms_per_node, ticks):
             t0 = time.perf_counter()
             result = manager.tick(float(k + 2))
             walls.append(time.perf_counter() - t0)
-    return median(walls), result
+        reports = {
+            nid: manager.fetch_report(nid)
+            for ids in manager.nodes_by_shard.values()
+            for nid in ids
+        }
+    return median(walls), result.errors, reports
 
 
 def test_sharded_node_scaling(once):
-    """Seconds per cluster tick, threaded vs process-sharded, as the
+    """Seconds per cluster tick, serial vs process-sharded, as the
     node count grows.  The two planes must agree on every allocation."""
 
     def run():
         curve = {}
         for n in NODE_COUNTS:
-            threaded_cost, threaded_last = _measure_threaded(
+            serial_cost, serial_last = _measure_serial(
                 n, VMS_PER_NODE, CLUSTER_TICKS
             )
-            sharded_cost, sharded_last = _measure_sharded(
+            sharded_cost, sharded_errors, sharded_reports = _measure_sharded(
                 n, VMS_PER_NODE, CLUSTER_TICKS
             )
-            assert not threaded_last.errors and not sharded_last.errors
-            for nid, report in threaded_last.items():
-                assert report.allocations == sharded_last[nid].allocations, (
+            assert not serial_last.errors and not sharded_errors
+            assert set(sharded_reports) == set(serial_last)
+            for nid, report in serial_last.items():
+                assert report.allocations == sharded_reports[nid].allocations, (
                     f"{n} nodes: {nid} diverged between planes"
                 )
             curve[str(n)] = {
                 "num_shards": min(n, 4),
-                "threaded_seconds_per_tick": threaded_cost,
+                "serial_seconds_per_tick": serial_cost,
                 "sharded_seconds_per_tick": sharded_cost,
             }
         return curve
@@ -361,12 +370,12 @@ def test_sharded_node_scaling(once):
 
     emit(
         render_table(
-            ["nodes", "shards", "threaded / tick", "sharded / tick"],
+            ["nodes", "shards", "serial / tick", "sharded / tick"],
             [
                 [
                     n,
                     row["num_shards"],
-                    f"{row['threaded_seconds_per_tick'] * 1e3:.1f} ms",
+                    f"{row['serial_seconds_per_tick'] * 1e3:.1f} ms",
                     f"{row['sharded_seconds_per_tick'] * 1e3:.1f} ms",
                 ]
                 for n, row in curve.items()

@@ -12,13 +12,13 @@ rebalance views and the vectorized planner fast path:
    Lands in ``benchmarks/results/BENCH_rebalance.json``.
 
 2. ``node_curve`` — seconds per full cluster tick as the node count
-   grows (64 / 256 / 1000), for the threaded ``NodeManager`` and the
-   process-sharded ``ShardedNodeManager`` in both telemetry modes
-   (pickled reports vs shared-memory).  The sharded/shared tick at the
-   largest point carries the same 1 s hard budget.  The threaded vs
-   sharded crossover is asserted only on multi-core machines — shards
-   cannot beat a thread pool on one core, so ``cpu_count`` is recorded
-   with the curve.  Lands in ``benchmarks/results/BENCH_controller.json``.
+   grows (64 / 256 / 1000), for the serial in-process ``NodeManager``
+   and the process-sharded ``ShardedNodeManager`` (shared-memory
+   telemetry).  The sharded tick at the largest point carries the same
+   1 s hard budget.  The serial vs sharded crossover is asserted only
+   on multi-core machines — shards cannot beat a serial loop on one
+   core, so ``cpu_count`` is recorded with the curve.  Lands in
+   ``benchmarks/results/BENCH_controller.json``.
 
 Both sections (and their ``*_smoke`` twins under ``BENCH_SMOKE=1``, the
 ``make bench-cluster-smoke`` gate) are compared against the committed
@@ -168,7 +168,7 @@ def test_chaos1000_control_loop_budget(once):
     )
 
 
-# -- 2. node_curve: threaded vs sharded full cluster tick ------------------------
+# -- 2. node_curve: serial vs sharded full cluster tick --------------------------
 
 NODE_COUNTS = (8,) if SMOKE else (64, 256, 1000)
 VMS_PER_NODE = 2
@@ -236,10 +236,10 @@ def _shard_map(num_nodes):
     }
 
 
-def _measure_threaded(num_nodes):
+def _measure_serial(num_nodes):
     node_ids = [f"node-{i}" for i in range(num_nodes)]
     nodes, controllers = _build_group(node_ids)
-    manager = NodeManager(controllers, parallel=True)
+    manager = NodeManager(controllers)
 
     def one_tick(t):
         for node in nodes:
@@ -253,14 +253,11 @@ def _measure_threaded(num_nodes):
         one_tick(float(k + 2))
         walls.append(time.perf_counter() - t0)
     stats = manager.backend_stats()
-    manager.close()
     return median(walls), max(walls), stats
 
 
-def _measure_sharded(num_nodes, telemetry):
-    with ShardedNodeManager(
-        _shard_map(num_nodes), telemetry=telemetry
-    ) as manager:
+def _measure_sharded(num_nodes):
+    with ShardedNodeManager(_shard_map(num_nodes)) as manager:
         manager.tick(1.0)  # warm (workers built by __enter__)
         walls = []
         for k in range(CLUSTER_TICKS):
@@ -269,33 +266,28 @@ def _measure_sharded(num_nodes, telemetry):
             walls.append(time.perf_counter() - t0)
         stats = manager.backend_stats()
         # The compact lane must still serve full reports on demand.
-        if telemetry == "shared":
-            report = manager.fetch_report("node-0")
-            assert report is not None and report.allocations
+        report = manager.fetch_report("node-0")
+        assert report is not None and report.allocations
     return median(walls), max(walls), stats
 
 
 def test_node_scaling_curve(once):
-    """Threaded vs sharded (reports and shared-memory telemetry) full
-    cluster tick at growing node counts; the shared-memory tick at the
-    largest point must fit one control period."""
+    """Serial vs sharded (shared-memory telemetry) full cluster tick at
+    growing node counts; the sharded tick at the largest point must fit
+    one control period."""
 
     def run():
         curve = {}
         shm_worst_at_max = None
         for n in NODE_COUNTS:
-            threaded, _, threaded_stats = _measure_threaded(n)
-            reports, _, reports_stats = _measure_sharded(n, "reports")
-            shm, shm_worst, shm_stats = _measure_sharded(n, "shared")
-            # All three planes drove identical clusters: the backend
+            serial, _, serial_stats = _measure_serial(n)
+            shm, shm_worst, shm_stats = _measure_sharded(n)
+            # Both planes drove identical clusters: the backend
             # counters they aggregate must match exactly.
-            assert threaded_stats == reports_stats == shm_stats, (
-                f"{n} nodes: planes diverged"
-            )
+            assert serial_stats == shm_stats, f"{n} nodes: planes diverged"
             curve[str(n)] = {
                 "num_shards": min(n, 8),
-                "threaded_seconds_per_tick": threaded,
-                "sharded_reports_seconds_per_tick": reports,
+                "serial_seconds_per_tick": serial,
                 "sharded_shm_seconds_per_tick": shm,
             }
             shm_worst_at_max = shm_worst
@@ -317,14 +309,12 @@ def test_node_scaling_curve(once):
 
     emit(
         render_table(
-            ["nodes", "shards", "threaded", "sharded (reports)",
-             "sharded (shm)"],
+            ["nodes", "shards", "serial", "sharded (shm)"],
             [
                 [
                     n,
                     row["num_shards"],
-                    f"{row['threaded_seconds_per_tick'] * 1e3:.1f} ms",
-                    f"{row['sharded_reports_seconds_per_tick'] * 1e3:.1f} ms",
+                    f"{row['serial_seconds_per_tick'] * 1e3:.1f} ms",
                     f"{row['sharded_shm_seconds_per_tick'] * 1e3:.1f} ms",
                 ]
                 for n, row in curve.items()
@@ -347,5 +337,5 @@ def test_node_scaling_curve(once):
         top = curve[max_nodes]
         assert (
             top["sharded_shm_seconds_per_tick"]
-            < top["threaded_seconds_per_tick"]
+            < top["serial_seconds_per_tick"]
         ), f"no crossover at {max_nodes} nodes on {cores} cores"

@@ -119,7 +119,7 @@ def _run_cluster():
         for node_id, plan in plans.items()
     }
     manager = NodeManager(
-        {nid: h[3] for nid, h in hosts.items()}, parallel=False
+        {nid: h[3] for nid, h in hosts.items()}
     )
     snapshots = {}
     reports_by_node = {nid: [] for nid in hosts}

@@ -15,6 +15,8 @@ per-tick engine costs, the rebalance planner's per-round cost — may not
 exceed the baseline by more than the tolerance (default 25%, override
 with the ``PERF_TOLERANCE`` env var, e.g. ``PERF_TOLERANCE=0.40``)
 plus a small absolute slack for timer noise on sub-millisecond leaves.
+A committed gated leaf that the fresh section lacks fails too, so a
+renamed or dropped leaf cannot silently lose its gate.
 Scalar-engine numbers are reference points, not gates.  Three sections
 carry hard budgets on top of the relative gates — they must fit inside
 one control period regardless of baseline: the 10k-VM tick's worst
@@ -71,16 +73,21 @@ def _flatten(section, prefix=""):
     return out
 
 
-def _check_pair(baseline_path, fresh_path, tolerance, failures):
-    """Compare one baseline/fresh file pair; returns metrics compared."""
-    baseline = json.loads(baseline_path.read_text())
-    fresh = json.loads(fresh_path.read_text())
+def compare(baseline, fresh, tolerance, failures):
+    """Gate every section shared by two parsed BENCH files.
 
+    Appends ``(section, metric, reference, now)`` to ``failures`` for
+    each regressed, missing or over-budget leaf (``now`` is ``None``
+    for a missing one); returns the number of metrics compared.
+    """
     shared = sorted(set(baseline) & set(fresh))
     compared = 0
     for section in shared:
         base_flat = _flatten(baseline[section])
         fresh_flat = _flatten(fresh[section])
+        for metric in sorted(set(base_flat) - set(fresh_flat)):
+            print(f"{section:>12} {metric:<42} MISSING from fresh results")
+            failures.append((section, metric, base_flat[metric], None))
         for metric in sorted(set(base_flat) & set(fresh_flat)):
             base = base_flat[metric]
             now = fresh_flat[metric]
@@ -107,6 +114,10 @@ def _check_pair(baseline_path, fresh_path, tolerance, failures):
             budget_leaves.append("observe_p50_seconds_per_tick")
         for leaf in budget_leaves:
             budget = float(fresh[section].get("control_period_s", 1.0))
+            if leaf not in fresh[section]:
+                print(f"{section:>12} {leaf + ' (hard budget)':<42} MISSING")
+                failures.append((section, leaf, budget, None))
+                continue
             worst = float(fresh[section][leaf])
             verdict = "ok" if worst < budget else "OVER BUDGET"
             print(
@@ -117,6 +128,13 @@ def _check_pair(baseline_path, fresh_path, tolerance, failures):
             if worst >= budget:
                 failures.append((section, leaf, budget, worst))
     return compared
+
+
+def _check_pair(baseline_path, fresh_path, tolerance, failures):
+    """Compare one baseline/fresh file pair; returns metrics compared."""
+    baseline = json.loads(baseline_path.read_text())
+    fresh = json.loads(fresh_path.read_text())
+    return compare(baseline, fresh, tolerance, failures)
 
 
 def main() -> int:
@@ -150,9 +168,9 @@ def main() -> int:
     if failures:
         print(
             f"\nperf check FAILED: {len(failures)} metric(s) above "
-            f"baseline x{1.0 + tolerance:.2f} "
+            f"baseline x{1.0 + tolerance:.2f}, over budget or missing "
             "(refresh the committed BENCH_*.json baseline if the slowdown "
-            "is intentional)",
+            "or rename is intentional)",
             file=sys.stderr,
         )
         return 1

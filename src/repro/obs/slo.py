@@ -331,12 +331,12 @@ class SLOPlane:
     def observe_cluster(
         self, manager, tick: int, *, t: float = 0.0, evaluate: bool = True
     ) -> List[Dict]:
-        """Ingest a manager barrier tick (reports or shm dialect).
+        """Ingest a manager barrier tick (in-process or shm dialect).
 
-        A ``"shared"``-telemetry sharded manager is read objectlessly
-        through its mapped :class:`ShardTelemetryReader` blocks; every
-        other manager through ``last_reports`` + controller registries.
-        Returns the alert transitions this tick produced.
+        A sharded manager is read objectlessly through its mapped
+        :class:`ShardTelemetryReader` blocks; an in-process manager
+        through ``last_reports`` + controller registries.  Returns the
+        alert transitions this tick produced.
         """
         store = self.store
         deadline = self.config.deadline_s if self.config.wallclock else None
@@ -348,12 +348,6 @@ class SLOPlane:
                 )
         else:
             controllers = getattr(manager, "controllers", {})
-            for node_id in sorted(manager.last_reports):
-                controller = controllers.get(node_id)
-                if controller is not None:
-                    store.ingest_report(
-                        controller, manager.last_reports[node_id], node=node_id
-                    )
             store.ingest_node_manager(manager, deadline_s=deadline)
             for node_id in sorted(controllers):
                 billing = getattr(controllers[node_id], "billing", None)

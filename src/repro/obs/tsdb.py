@@ -21,9 +21,9 @@ Ingest is three-dialect, mirroring how the repo's planes report:
   :class:`~repro.core.controller.ControllerReport` plus the owning
   controller's registries (tenant / guarantee maps), post hoc exactly
   like the obs hub;
-* :meth:`SeriesStore.ingest_node_manager` — a
-  :class:`~repro.sim.node_manager.NodeManager` (or sharded manager in
-  ``"reports"`` mode) after a barrier tick;
+* :meth:`SeriesStore.ingest_node_manager` — an in-process
+  :class:`~repro.sim.node_manager.NodeManager` after a barrier tick,
+  each node's report through :meth:`~SeriesStore.ingest_report`;
 * :meth:`SeriesStore.ingest_shard_reader` — *objectless*: straight off
   a :class:`~repro.sim.shard_telemetry.ShardTelemetryReader`'s mapped
   NumPy blocks in the shm dialect, via a per-catalog column cache so
@@ -389,20 +389,21 @@ class SeriesStore:
     def ingest_node_manager(
         self, manager, *, deadline_s: Optional[float] = None
     ) -> None:
-        """A barrier tick of a (sharded) manager in ``"reports"`` mode.
+        """A barrier tick of an in-process manager.
 
-        Per-node tick seconds and allocation totals come from
-        ``last_reports``; the cluster deadline counter compares each
+        Each node's report in ``last_reports`` goes through
+        :meth:`ingest_report` once (its per-node gauges and per-tenant
+        guarantee counters); the cluster deadline counter compares each
         node's stage total against ``deadline_s`` when given.
         """
+        controllers = getattr(manager, "controllers", {})
         bad = 0
         total = 0
         for node_id in sorted(manager.last_reports):
             report = manager.last_reports[node_id]
-            seconds = report.timings.total
-            self.append(S_TICK_SECONDS, seconds, {"node": node_id})
+            self.ingest_report(controllers.get(node_id), report, node=node_id)
             total += 1
-            if deadline_s is not None and seconds > deadline_s:
+            if deadline_s is not None and report.timings.total > deadline_s:
                 bad += 1
         if deadline_s is not None and total:
             self.accumulate(S_DEADLINE_BAD, float(bad))

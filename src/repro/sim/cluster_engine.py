@@ -93,8 +93,6 @@ class ClusterSimulation:
         migration_policy: Optional[ThresholdMigrationPolicy] = None,
         enforce_admission: bool = True,
         keep_reports: bool = False,
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
         rebalancer=None,
     ) -> None:
         if dt <= 0:
@@ -138,15 +136,12 @@ class ClusterSimulation:
                 controller=controller,
             )
         # The control plane: per-period ticks of all powered-on nodes
-        # run through one NodeManager (thread pool; controllers are
-        # share-nothing so parallel order cannot change the reports).
+        # run through one serial NodeManager barrier.
         self.node_manager = NodeManager(
             {
                 node_id: runtime.controller
                 for node_id, runtime in self.runtimes.items()
-            },
-            parallel=parallel,
-            max_workers=max_workers,
+            }
         )
 
     # -- deployment ---------------------------------------------------------------

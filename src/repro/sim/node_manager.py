@@ -7,13 +7,13 @@ N per-node controllers, fires their iterations together, and exposes
 aggregate health (stage timings, syscall budgets) to the operator.
 :class:`NodeManager` is that layer.
 
-Because controllers are share-nothing — each one touches only its own
-node's cgroupfs/procfs/sysfs — their ticks can run concurrently on a
-thread pool without any cross-node ordering concerns: the reports of a
-parallel tick are identical to running the same controllers back to
-back.  One ``tick(t)`` is a barrier: it returns only when every node's
-iteration has finished, mirroring the per-period cadence of the
-single-node engines.
+Controllers are share-nothing — each one touches only its own node's
+cgroupfs/procfs/sysfs — so :class:`NodeManager` ticks them back to back
+on the caller's thread, and each report's stage timings measure that
+node's work alone.  One ``tick(t)`` is a barrier: it returns only when
+every node's iteration has finished, mirroring the per-period cadence
+of the single-node engines.  Multi-core scale comes from
+:class:`ShardedNodeManager`, which runs node groups in worker processes.
 
 Controllers are any :class:`~repro.core.api.Controller`; the manager
 additionally surfaces backend batch statistics for controllers that
@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import multiprocessing
 from multiprocessing import resource_tracker
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from concurrent.futures import ProcessPoolExecutor
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.core.api import Controller
 from repro.core.backend import BackendStats
@@ -39,6 +41,18 @@ from repro.sim.shard_telemetry import (
 )
 
 log = get_logger("repro.node_manager")
+
+
+def _sum_timings(timings: Iterable[StageTimings]) -> StageTimings:
+    total = StageTimings()
+    for t in timings:
+        total.monitor += t.monitor
+        total.estimate += t.estimate
+        total.credits += t.credits
+        total.auction += t.auction
+        total.distribute += t.distribute
+        total.enforce += t.enforce
+    return total
 
 
 class TickResult(Dict[str, ControllerReport]):
@@ -55,24 +69,29 @@ class TickResult(Dict[str, ControllerReport]):
         self.errors: Dict[str, BaseException] = {}
 
 
+def _record_error(
+    manager, node_id: str, exc: BaseException, result: TickResult
+) -> None:
+    """Book one node's failed tick on ``manager`` and ``result``."""
+    result.errors[node_id] = exc
+    manager.last_errors[node_id] = exc
+    manager.error_counts[node_id] = manager.error_counts.get(node_id, 0) + 1
+    log.error(
+        "node tick failed: %s: %s", type(exc).__name__, exc,
+        extra={"node": node_id, "errors": manager.error_counts[node_id]},
+    )
+
+
 class NodeManager:
     """Runs N per-node controllers as one control plane.
 
-    ``parallel=False`` (or a single node) degrades to a plain serial
-    loop in registration order — useful both as the reference for
-    determinism tests and to avoid thread overhead for tiny clusters.
+    Each ``tick`` is a plain serial loop in registration order.
     """
 
     def __init__(
-        self,
-        controllers: Optional[Dict[str, Controller]] = None,
-        *,
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        self, controllers: Optional[Dict[str, Controller]] = None
     ) -> None:
         self.controllers: Dict[str, Controller] = dict(controllers or {})
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.last_reports: Dict[str, ControllerReport] = {}
         #: Exceptions of the latest tick, keyed by node id (reset each
         #: tick) — a failed node never aborts the barrier.
@@ -80,7 +99,6 @@ class NodeManager:
         #: Cumulative failed-tick count per node id.
         self.error_counts: Dict[str, int] = {}
         self.ticks = 0
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # -- node registry ----------------------------------------------------------
 
@@ -155,22 +173,11 @@ class NodeManager:
         ids = list(self.controllers) if node_ids is None else list(node_ids)
         result = TickResult()
         self.last_errors = {}
-        if self.parallel and len(ids) > 1:
-            futures = {
-                node_id: self._pool().submit(self.controllers[node_id].tick, t)
-                for node_id in ids
-            }
-            for node_id, future in futures.items():
-                try:
-                    result[node_id] = future.result()
-                except Exception as exc:
-                    self._record_error(node_id, exc, result)
-        else:
-            for node_id in ids:
-                try:
-                    result[node_id] = self.controllers[node_id].tick(t)
-                except Exception as exc:
-                    self._record_error(node_id, exc, result)
+        for node_id in ids:
+            try:
+                result[node_id] = self.controllers[node_id].tick(t)
+            except Exception as exc:
+                self._record_error(node_id, exc, result)
         self.last_reports.update(result)
         self.ticks += 1
         return result
@@ -178,16 +185,7 @@ class NodeManager:
     def _record_error(
         self, node_id: str, exc: Exception, result: TickResult
     ) -> None:
-        result.errors[node_id] = exc
-        self.last_errors[node_id] = exc
-        self.error_counts[node_id] = self.error_counts.get(node_id, 0) + 1
-        log.error(
-            "node tick failed: %s: %s", type(exc).__name__, exc,
-            extra={
-                "node": node_id,
-                "errors": self.error_counts[node_id],
-            },
-        )
+        _record_error(self, node_id, exc, result)
         # Duck-typed flight-recorder trigger: any controller carrying an
         # observability hub gets a black-box dump of its final ticks
         # (idempotent — the controller's own wrapper usually dumped
@@ -196,39 +194,15 @@ class NodeManager:
         if obs is not None:
             obs.on_node_error(node_id, exc)
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            workers = self.max_workers or min(32, max(1, len(self.controllers)))
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="node-tick"
-            )
-        return self._executor
-
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "NodeManager":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Nothing to release; mirrors :meth:`ShardedNodeManager.close`
+        so drivers can shut down either manager the same way."""
 
     # -- aggregate telemetry ----------------------------------------------------
 
     def aggregate_timings(self) -> StageTimings:
         """Summed per-stage wall-clock across the latest reports."""
-        total = StageTimings()
-        for report in self.last_reports.values():
-            t = report.timings
-            total.monitor += t.monitor
-            total.estimate += t.estimate
-            total.credits += t.credits
-            total.auction += t.auction
-            total.distribute += t.distribute
-            total.enforce += t.enforce
-        return total
+        return _sum_timings(r.timings for r in self.last_reports.values())
 
     def backend_stats(self) -> BackendStats:
         """Summed syscall counters across all nodes' backends."""
@@ -271,20 +245,19 @@ class NodeManager:
 
 # -- sharded (multi-process) control plane --------------------------------------
 #
-# Above a few hundred nodes the thread-pool barrier saturates on the
-# GIL: every controller tick is pure Python over NumPy arrays, so
-# threads serialize exactly where the work is.  The sharded manager
-# splits the node set into groups, builds each group *inside* a worker
-# process (controllers hold kernel-surface handles and RNG state that
-# must never cross a pickle boundary), and ticks the groups in a
-# :class:`~concurrent.futures.ProcessPoolExecutor`.
+# Above a few hundred nodes one core cannot keep the serial barrier
+# inside the control period: every controller tick is pure Python over
+# NumPy arrays, and threads would serialize on the GIL exactly where the
+# work is.  The sharded manager splits the node set into groups, builds
+# each group *inside* a worker process (controllers hold kernel-surface
+# handles and RNG state that must never cross a pickle boundary), and
+# ticks the groups in a :class:`~concurrent.futures.ProcessPoolExecutor`.
 #
 # Affinity is structural: each shard owns a dedicated single-worker
 # executor, so every task for that shard lands on the process holding
-# its state.  Only three things ever cross the process boundary:
-# the shard *factory* on the way in (a picklable module-level callable)
-# and, each tick, the per-node ``ControllerReport``s plus summed
-# telemetry on the way out.
+# its state.  Only the shard *factory* (a picklable module-level
+# callable) crosses the process boundary on the way in; each tick, the
+# error map and a shared-memory segment name cross on the way out.
 
 
 class Shard:
@@ -311,8 +284,8 @@ class Shard:
 #: global because every shard executor runs ``max_workers=1``.
 _WORKER_SHARD: Optional[Tuple[Shard, NodeManager]] = None
 
-#: Per-worker telemetry segment, created on the first shared-telemetry
-#: tick and reused (same buffers) for every tick after.
+#: Per-worker telemetry segment, created on the first tick and reused
+#: (same buffers) for every tick after.
 _WORKER_TELEMETRY: Optional[ShardTelemetryWriter] = None
 
 
@@ -323,49 +296,21 @@ def _shard_build(
     global _WORKER_SHARD
     built = factory()
     shard = built if isinstance(built, Shard) else Shard(dict(built))
-    _WORKER_SHARD = (shard, NodeManager(shard.controllers, parallel=False))
+    _WORKER_SHARD = (shard, NodeManager(shard.controllers))
     return sorted(shard.controllers)
 
 
 def _shard_tick(
     t: float,
-) -> Tuple[
-    Dict[str, ControllerReport],
-    Dict[str, Tuple[str, str]],
-    BackendStats,
-    Tuple[int, int],
-]:
-    """(worker) One barrier tick over this worker's node group.
-
-    Exceptions are flattened to ``(type_name, message)`` pairs — live
-    exception objects may drag unpicklable controller state through
-    their traceback frames.
-    """
-    shard, manager = _WORKER_SHARD  # type: ignore[misc]
-    if shard.pre_tick is not None:
-        shard.pre_tick(t)
-    result = manager.tick(t)
-    errors = {
-        node_id: (type(exc).__name__, str(exc))
-        for node_id, exc in result.errors.items()
-    }
-    return (
-        dict(result),
-        errors,
-        manager.backend_stats(),
-        manager.invariant_totals(),
-    )
-
-
-def _shard_tick_telemetry(
-    t: float,
 ) -> Tuple[Dict[str, Tuple[str, str]], str, int, Optional[Catalog]]:
     """(worker) Barrier tick publishing into shared memory.
 
-    The compact sibling of :func:`_shard_tick`: per-node reports stay
-    in this process (``fetch_report`` pulls one on demand); what crosses
-    the pickle boundary is the error map, the segment name and the
-    catalog version — plus the catalog itself only when it changed.
+    Per-node reports stay in this process (``fetch_report`` pulls one on
+    demand); what crosses the pickle boundary is the error map, the
+    segment name and the catalog version — plus the catalog itself only
+    when it changed.  Exceptions are flattened to ``(type_name,
+    message)`` pairs — live exception objects may drag unpicklable
+    controller state through their traceback frames.
     """
     global _WORKER_TELEMETRY
     shard, manager = _WORKER_SHARD  # type: ignore[misc]
@@ -393,11 +338,6 @@ def _shard_close_telemetry() -> None:
     if _WORKER_TELEMETRY is not None:
         _WORKER_TELEMETRY.close(unlink=True)
         _WORKER_TELEMETRY = None
-
-
-def _shard_invariants_by_node() -> Dict[str, int]:
-    """(worker) Per-node cumulative violation counts for this shard."""
-    return _WORKER_SHARD[1].invariant_violations_by_node()  # type: ignore[index]
 
 
 def _shard_register_vm(
@@ -428,11 +368,11 @@ class RemoteNodeError(RuntimeError):
 class ShardedNodeManager:
     """Runs node groups in worker processes; one barrier per tick.
 
-    Same contract as :class:`NodeManager` — ``tick(t)`` returns a
-    merged :class:`TickResult`, failed nodes land in ``result.errors``
-    without aborting the barrier, and the aggregate telemetry methods
-    (``aggregate_timings`` / ``backend_stats`` / ``invariant_totals``)
-    report cluster-wide sums.  Fault isolation is two-level: a node
+    Same barrier contract as :class:`NodeManager` — failed nodes land in
+    ``result.errors`` without aborting the barrier, and the aggregate
+    telemetry methods (``aggregate_timings`` / ``backend_stats`` /
+    ``invariant_totals`` / ``invariant_violations_by_node``) report
+    cluster-wide sums.  Fault isolation is two-level: a node
     whose tick raises is contained by the in-worker :class:`NodeManager`
     (its shard's other nodes still report), and a shard whose *process*
     dies marks all of its nodes failed while the remaining shards
@@ -444,20 +384,13 @@ class ShardedNodeManager:
     ``{node_id: controller}`` dict.  Groups are built lazily inside the
     workers on first use — construct, then tick.
 
-    ``telemetry`` picks the tick's IPC lane:
-
-    * ``"reports"`` (default) — every per-node
-      :class:`~repro.core.controller.ControllerReport` is pickled back
-      each tick, exactly the original contract;
-    * ``"shared"`` — workers publish compact per-node / per-VM arrays
-      into a ``multiprocessing.shared_memory`` segment
-      (:mod:`repro.sim.shard_telemetry`) and ``tick`` returns an
-      *empty* :class:`TickResult` (errors still populated).  Aggregate
-      telemetry — ``aggregate_timings`` / ``backend_stats`` /
-      ``invariant_totals`` / ``invariant_violations_by_node`` — reads
-      the mapped segments with no extra round trips, and a full report
-      is fetched on demand via :meth:`fetch_report`.  This is the lane
-      that keeps a 1000-node tick inside the 1 s control period.
+    Workers publish compact per-node / per-VM arrays into a
+    ``multiprocessing.shared_memory`` segment
+    (:mod:`repro.sim.shard_telemetry`) and ``tick`` returns an *empty*
+    :class:`TickResult` (errors still populated).  Aggregate telemetry
+    reads the mapped segments with no extra round trips, and a full
+    :class:`~repro.core.controller.ControllerReport` is fetched on
+    demand via :meth:`fetch_report`.
 
     Observability stays per-node and in-worker: the inner manager's
     flight-recorder trigger fires in the process that owns the hub, so
@@ -472,16 +405,10 @@ class ShardedNodeManager:
         ],
         *,
         mp_context: Optional[str] = None,
-        telemetry: str = "reports",
     ) -> None:
         if not shard_factories:
             raise ValueError("at least one shard factory is required")
-        if telemetry not in ("reports", "shared"):
-            raise ValueError(
-                f"telemetry must be 'reports' or 'shared', got {telemetry!r}"
-            )
         self.shard_factories = dict(shard_factories)
-        self.telemetry = telemetry
         methods = multiprocessing.get_all_start_methods()
         method = mp_context or ("fork" if "fork" in methods else "spawn")
         self._ctx = multiprocessing.get_context(method)
@@ -504,15 +431,14 @@ class ShardedNodeManager:
         """Spin up one single-worker pool per shard and build in-worker."""
         if self._started:
             return
-        if self.telemetry == "shared":
-            # Start the parent's resource tracker *before* the pools
-            # fork: forked workers then inherit it, making it the one
-            # shared tracker the segment-cleanup bookkeeping assumes
-            # (see the shard_telemetry module docstring).  Without
-            # this, worker and parent each lazily start their own
-            # tracker and the parent's attach-registration is never
-            # balanced, warning about a phantom leak at exit.
-            resource_tracker.ensure_running()
+        # Start the parent's resource tracker *before* the pools fork:
+        # forked workers then inherit it, making it the one shared
+        # tracker the segment-cleanup bookkeeping assumes (see the
+        # shard_telemetry module docstring).  Without this, worker and
+        # parent each lazily start their own tracker and the parent's
+        # attach-registration is never balanced, warning about a
+        # phantom leak at exit.
+        resource_tracker.ensure_running()
         futures = {}
         for shard_id, factory in self.shard_factories.items():
             pool = ProcessPoolExecutor(max_workers=1, mp_context=self._ctx)
@@ -624,16 +550,10 @@ class ShardedNodeManager:
     def tick(self, t: float) -> TickResult:
         """One iteration on every node of every shard; barrier semantics.
 
-        In ``"reports"`` mode telemetry sums (`backend_stats`,
-        `invariant_totals`) are refreshed from the workers as part of
-        the same round trip — counters are cumulative in the backends,
-        so the latest snapshot is the cluster total.  In ``"shared"``
-        mode the result carries errors only; everything else lands in
+        The result carries errors only; reports and telemetry land in
         the shared-memory segments (see the class docstring).
         """
         self.start()
-        if self.telemetry == "shared":
-            return self._tick_shared(t)
         self.last_errors = {}
         result = TickResult()
         futures = {
@@ -644,43 +564,12 @@ class ShardedNodeManager:
         checks = violations = 0
         for shard_id, future in futures.items():
             try:
-                reports, errors, shard_stats, totals = future.result()
+                errors, segment, version, catalog = future.result()
             except Exception as exc:
                 # The whole worker died (BrokenProcessPool, pickling
                 # failure): every node of the shard is down this tick.
                 for node_id in self.nodes_by_shard.get(shard_id, []):
-                    self._record_error(node_id, exc, result)
-                continue
-            result.update(reports)
-            for node_id, (exc_type, message) in errors.items():
-                self._record_error(
-                    node_id, RemoteNodeError(exc_type, message), result
-                )
-            stats = stats + shard_stats
-            checks += totals[0]
-            violations += totals[1]
-        self._backend_stats = stats
-        self._invariant_totals = (checks, violations)
-        self.last_reports.update(result)
-        self.ticks += 1
-        return result
-
-    def _tick_shared(self, t: float) -> TickResult:
-        """Barrier tick over the compact shared-memory lane."""
-        self.last_errors = {}
-        result = TickResult()
-        futures = {
-            shard_id: pool.submit(_shard_tick_telemetry, t)
-            for shard_id, pool in self._pools.items()
-        }
-        stats = BackendStats()
-        checks = violations = 0
-        for shard_id, future in futures.items():
-            try:
-                errors, segment, version, catalog = future.result()
-            except Exception as exc:
-                for node_id in self.nodes_by_shard.get(shard_id, []):
-                    self._record_error(node_id, exc, result)
+                    _record_error(self, node_id, exc, result)
                 continue
             reader = self.readers.get(shard_id)
             if reader is None:
@@ -692,8 +581,8 @@ class ShardedNodeManager:
                 reader = self.readers[shard_id] = ShardTelemetryReader()
             reader.update(segment, version, catalog)
             for node_id, (exc_type, message) in errors.items():
-                self._record_error(
-                    node_id, RemoteNodeError(exc_type, message), result
+                _record_error(
+                    self, node_id, RemoteNodeError(exc_type, message), result
                 )
             shard_totals = reader.invariant_totals()
             stats = stats + reader.backend_stats()
@@ -707,12 +596,10 @@ class ShardedNodeManager:
     def fetch_report(self, node_id: str) -> Optional[ControllerReport]:
         """Pull one node's latest full report from its worker (lazy).
 
-        The explain / flight-recorder escape hatch of the shared
-        telemetry lane: the compact arrays cover every aggregate, and
-        the rare flow that needs sample lists or per-path allocations
-        pays one pickle for exactly one node.  The fetched report is
-        cached in :attr:`last_reports` (as ``"reports"`` mode would
-        have).  Works in either telemetry mode.
+        The explain / flight-recorder escape hatch: the compact arrays
+        cover every aggregate, and the rare flow that needs sample lists
+        or per-path allocations pays one pickle for exactly one node.
+        The fetched report is cached in :attr:`last_reports`.
         """
         self.start()
         shard_id = self.shard_of(node_id)
@@ -723,49 +610,12 @@ class ShardedNodeManager:
             self.last_reports[node_id] = report
         return report
 
-    def _record_error(
-        self, node_id: str, exc: BaseException, result: TickResult
-    ) -> None:
-        result.errors[node_id] = exc
-        self.last_errors[node_id] = exc
-        self.error_counts[node_id] = self.error_counts.get(node_id, 0) + 1
-        log.error(
-            "node tick failed: %s: %s", type(exc).__name__, exc,
-            extra={
-                "node": node_id,
-                "errors": self.error_counts[node_id],
-            },
-        )
-
     # -- aggregate telemetry ----------------------------------------------------
 
     def aggregate_timings(self) -> StageTimings:
-        """Summed per-stage wall-clock across the latest tick.
-
-        ``"reports"`` mode sums over :attr:`last_reports`; ``"shared"``
-        mode sums the mapped telemetry blocks — no round trips.
-        """
-        if self.telemetry == "shared" and self.readers:
-            total = StageTimings()
-            for reader in self.readers.values():
-                shard = reader.stage_timings()
-                total.monitor += shard.monitor
-                total.estimate += shard.estimate
-                total.credits += shard.credits
-                total.auction += shard.auction
-                total.distribute += shard.distribute
-                total.enforce += shard.enforce
-            return total
-        total = StageTimings()
-        for report in self.last_reports.values():
-            t = report.timings
-            total.monitor += t.monitor
-            total.estimate += t.estimate
-            total.credits += t.credits
-            total.auction += t.auction
-            total.distribute += t.distribute
-            total.enforce += t.enforce
-        return total
+        """Summed per-stage wall-clock across the latest tick, read off
+        the mapped telemetry blocks — no round trips."""
+        return _sum_timings(r.stage_timings() for r in self.readers.values())
 
     def backend_stats(self) -> BackendStats:
         """Cluster-wide syscall counters (as of the latest tick)."""
@@ -778,28 +628,14 @@ class ShardedNodeManager:
     def invariant_violations_by_node(self) -> Dict[str, int]:
         """Per-node cumulative violation counts, merged across shards.
 
-        ``"shared"`` mode reads the mapped telemetry blocks directly —
-        zero round trips, which is what lets the rebalancer snapshot a
-        1000-node cluster every round.  ``"reports"`` mode keeps the
-        original per-shard query.  Either way a dead shard contributes
-        nothing this round (its nodes are already flagged via
-        ``error_counts``); the counters are cumulative in-worker, so
-        the next successful round trip catches the totals up.
+        Reads the mapped telemetry blocks directly — zero round trips,
+        which is what lets the rebalancer snapshot a 1000-node cluster
+        every round.  A dead shard keeps its last published counts (its
+        nodes are already flagged via ``error_counts``); the counters
+        are cumulative in-worker, so the next successful tick catches
+        the totals up.
         """
-        if self.telemetry == "shared" and self.readers:
-            out: Dict[str, int] = {}
-            for reader in self.readers.values():
-                out.update(reader.violations_by_node())
-            return out
-        self.start()
-        futures = {
-            shard_id: pool.submit(_shard_invariants_by_node)
-            for shard_id, pool in self._pools.items()
-        }
-        out = {}
-        for shard_id, future in futures.items():
-            try:
-                out.update(future.result())
-            except Exception:
-                continue
+        out: Dict[str, int] = {}
+        for reader in self.readers.values():
+            out.update(reader.violations_by_node())
         return out

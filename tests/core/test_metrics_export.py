@@ -194,7 +194,7 @@ class TestClusterRendering:
         from repro.core.metrics_export import render_cluster
         from repro.sim.node_manager import NodeManager
 
-        manager = NodeManager(parallel=False)
+        manager = NodeManager()
         for node_id in ("n0", "n1"):
             manager.add_node(node_id, warmed_controller())
         manager.tick(0.0)

@@ -1,9 +1,10 @@
 """Shared-memory shard telemetry: parity, churn, growth, lifecycle.
 
-The compact telemetry lane must report exactly what the pickled-report
-lane reports (aggregates, counters, per-node accounts) while shipping
-only a segment name across the process boundary — and a closed
-:class:`ShardedNodeManager` must be re-``start()``-able from scratch.
+The compact telemetry lane must report exactly what the in-process
+:class:`NodeManager` reports (aggregates, counters, per-node accounts)
+while shipping only a segment name across the process boundary — and a
+closed :class:`ShardedNodeManager` must be re-``start()``-able from
+scratch.
 """
 
 import functools
@@ -21,6 +22,7 @@ from repro.sim.shard_telemetry import (
 from repro.virt.template import SMALL
 from tests.conftest import make_host
 from tests.sim.test_sharded_node_manager import (
+    _assert_matches_in_process,
     _build_group,
     _shard_factory,
     _signature,
@@ -43,26 +45,26 @@ _SHARDS = {
 
 class TestSharedTelemetryParity:
     def test_matches_reports_mode(self):
-        """Same nodes, both lanes: identical aggregates and accounts."""
+        """Same nodes, in-process and sharded: identical aggregates and
+        accounts."""
         ref_hosts = {
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
         }
-        threaded = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()},
-            parallel=False,
+        in_process = NodeManager(
+            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()}
         )
-        with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
+        with ShardedNodeManager(_SHARDS) as sharded:
             for k in range(3):
                 for node, _, _ in ref_hosts.values():
                     node.step(1.0)
-                ref = threaded.tick(float(k + 1))
+                ref = in_process.tick(float(k + 1))
                 got = sharded.tick(float(k + 1))
                 # Compact lane: no reports cross the boundary.
                 assert dict(got) == {}
                 assert not got.errors
-            assert sharded.backend_stats() == threaded.backend_stats()
-            assert sharded.invariant_totals() == threaded.invariant_totals()
+            assert sharded.backend_stats() == in_process.backend_stats()
+            assert sharded.invariant_totals() == in_process.invariant_totals()
             assert sharded.aggregate_timings().total > 0
 
             # Per-node Eq. 7 accounts and allocations, via the blocks.
@@ -90,7 +92,6 @@ class TestSharedTelemetryParity:
                     assert vm_block[row_no, VM_GUARANTEE] == SMALL.vfreq_mhz
                     slot = int(vm_block[row_no, VM_SLOT])
                     assert name.startswith(reader.node_ids[slot])
-        threaded.close()
 
     def test_fetch_report_lazy(self):
         """The explain escape hatch pulls one full report on demand."""
@@ -98,34 +99,28 @@ class TestSharedTelemetryParity:
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
         }
-        threaded = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()},
-            parallel=False,
+        in_process = NodeManager(
+            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()}
         )
-        with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
+        with ShardedNodeManager(_SHARDS) as sharded:
             for node, _, _ in ref_hosts.values():
                 node.step(1.0)
-            ref = threaded.tick(1.0)
+            ref = in_process.tick(1.0)
             sharded.tick(1.0)
             assert sharded.last_reports == {}
             report = sharded.fetch_report("node-b")
             assert _signature(report) == _signature(ref["node-b"])
-            # Fetched reports are cached like reports-mode would have.
+            # Fetched reports are cached for later readers.
             assert "node-b" in sharded.last_reports
             with pytest.raises(KeyError):
                 sharded.fetch_report("node-zz")
-        threaded.close()
 
     def test_violations_by_node_zero_round_trips(self):
-        with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
+        with ShardedNodeManager(_SHARDS) as sharded:
             sharded.tick(1.0)
             # make_host controllers run without inline oracles, so the
             # sentinel keeps them out of the map entirely.
             assert sharded.invariant_violations_by_node() == {}
-
-    def test_invalid_telemetry_mode_rejected(self):
-        with pytest.raises(ValueError, match="telemetry"):
-            ShardedNodeManager(_SHARDS, telemetry="carrier-pigeon")
 
 
 class TestWriterInProcess:
@@ -135,7 +130,7 @@ class TestWriterInProcess:
     def _manager(n_vms_per_node=1):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         return hosts, manager
 
@@ -221,7 +216,7 @@ class TestWriterInProcess:
 
         hosts = _build_group(["n0"], 3)
         manager = NodeManager(
-            {"n0": hosts["n0"][2], "n1": _Boom()}, parallel=False
+            {"n0": hosts["n0"][2], "n1": _Boom()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
@@ -251,7 +246,7 @@ class TestSeqlockConsistency:
     def test_torn_read_retries_until_publish_completes(self):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
@@ -299,7 +294,7 @@ class TestSeqlockConsistency:
 
     def test_snapshot_gives_up_after_max_retries(self):
         hosts = _build_group(["n0"], 3)
-        manager = NodeManager({"n0": hosts["n0"][2]}, parallel=False)
+        manager = NodeManager({"n0": hosts["n0"][2]})
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
         try:
@@ -323,7 +318,7 @@ class TestSeqlockConsistency:
     def test_close_then_reattach_against_live_writer(self):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
@@ -368,12 +363,11 @@ class TestSeqlockConsistency:
 
 
 class TestCloseStartRoundTrip:
-    @pytest.mark.parametrize("telemetry", ["reports", "shared"])
-    def test_close_then_start_again(self, telemetry):
+    def test_close_then_start_again(self):
         """A closed manager is indistinguishable from a fresh one."""
-        manager = ShardedNodeManager(_SHARDS, telemetry=telemetry)
+        manager = ShardedNodeManager(_SHARDS)
         manager.start()
-        result = manager.tick(1.0)
+        manager.tick(1.0)
         assert manager.ticks == 1
         assert manager.num_nodes == 3
         manager.close()
@@ -387,17 +381,26 @@ class TestCloseStartRoundTrip:
         assert manager.ticks == 0
         assert manager.backend_stats().fs_reads == 0
 
-        # And it comes back: start() rebuilds shards from factories.
+        # And it comes back: start() rebuilds shards from factories, so
+        # the restarted run matches a fresh in-process run tick for tick.
+        ref_hosts = {
+            **_build_group(["node-a", "node-b"], 7),
+            **_build_group(["node-c"], 9),
+        }
+        ref = NodeManager(
+            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()}
+        )
         manager.start()
         try:
             assert manager.num_nodes == 3
-            result = manager.tick(1.0)
-            assert not result.errors
-            assert manager.ticks == 1
-            if telemetry == "reports":
-                assert set(result) == {"node-a", "node-b", "node-c"}
-            else:
-                assert manager.readers
+            for k in range(2):
+                for node, _, _ in ref_hosts.values():
+                    node.step(1.0)
+                ref.tick(float(k + 1))
+                assert not manager.tick(float(k + 1)).errors
+                _assert_matches_in_process(manager, ref)
+            assert manager.ticks == 2
+            assert manager.readers
         finally:
             manager.close()
 
@@ -423,7 +426,7 @@ class TestResourceTrackerHygiene:
             "from tests.sim.test_sharded_node_manager import _shard_factory\n"
             "from repro.sim import ShardedNodeManager\n"
             "shards = {'s0': functools.partial(_shard_factory, ('node-a',), 7)}\n"
-            "mgr = ShardedNodeManager(shards, telemetry='shared')\n"
+            "mgr = ShardedNodeManager(shards)\n"
             "mgr.tick(1.0)\n"
             "mgr.close()\n"
             "mgr.start()\n"
