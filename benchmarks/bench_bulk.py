@@ -1,21 +1,24 @@
 """Bulk-engine and sharded-control-plane benches.
 
-Three measurements back the bulk-array backend API (docs/api.md):
+Four measurements back the bulk-array backend API (docs/api.md):
 
-1. full-tick cost of all three engines at the paper's dense-host size —
+1. full-tick cost of both engines at the paper's dense-host size —
    the ``bulk`` engine must beat the scalar reference on the *whole*
-   tick (stages 1 and 6 included), not just the vectorised middle;
-2. a 10k-VM single-process ``bulk`` tick, which must fit inside one
+   tick (stages 1 and 6 included), not just the array middle;
+2. stage 4 on a host whose bursty VMs fund their wallets while idle and
+   spend them in the auction when they burst — the array auction
+   against the scalar heap auction, on bit-identical outcomes;
+3. a 10k-VM single-process ``bulk`` tick, which must fit inside one
    1 s control period — the paper's "negligible fraction of the
    period" requirement (§III-B2) pushed to cloud-host density;
-3. the node-scaling curve of the serial in-process ``NodeManager``
+4. the node-scaling curve of the serial in-process ``NodeManager``
    versus the process-sharded ``ShardedNodeManager`` (shared-memory
    telemetry) driving the same cluster.
 
 All numbers land in ``benchmarks/results/BENCH_controller.json``
-(sections ``bulk``/``tick10k``/``sharded``, ``*_smoke`` variants under
-``BENCH_SMOKE=1``) and are gated against the committed repo-root
-baseline by ``check_perf_regression.py``.
+(sections ``bulk``/``auction``/``tick10k``/``sharded``, ``*_smoke``
+variants under ``BENCH_SMOKE=1``) and are gated against the committed
+repo-root baseline by ``check_perf_regression.py``.
 """
 
 import functools
@@ -33,7 +36,7 @@ from repro.sim.report import render_table
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import VMTemplate
 
-from bench_scaling import _controller_host, _stage25
+from bench_scaling import _controller_host, _dense_vms, _stage25
 from conftest import emit, results_path
 
 PERF_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
@@ -68,7 +71,7 @@ def _stage_costs(reports):
     }
 
 
-# -- 1. three-engine full-tick comparison ----------------------------------------
+# -- 1. two-engine full-tick comparison ------------------------------------------
 
 ENGINE_VMS = 24 if PERF_SMOKE else 160
 ENGINE_TICKS = 8 if PERF_SMOKE else 25
@@ -90,19 +93,19 @@ def _measure_engine(engine):
 
 
 def test_bulk_full_tick_speedup(once):
-    """Scalar vs vectorized vs bulk full-tick cost; records the ``bulk``
-    baseline section.  The report streams must be bit-identical — the
-    speedup may not come from computing something else."""
+    """Scalar vs bulk full-tick cost; records the ``bulk`` baseline
+    section.  The report streams must be bit-identical — the speedup
+    may not come from computing something else."""
 
     def compare():
         return {engine: _measure_engine(engine)
-                for engine in ("scalar", "vectorized", "bulk")}
+                for engine in ("scalar", "bulk")}
 
     measured = once(compare)
 
-    _, vector_reports = measured["vectorized"]
+    _, scalar_reports = measured["scalar"]
     _, bulk_reports = measured["bulk"]
-    for i, (a, b) in enumerate(zip(vector_reports, bulk_reports)):
+    for i, (a, b) in enumerate(zip(scalar_reports, bulk_reports)):
         assert a.allocations == b.allocations, f"tick {i}: allocations differ"
         assert a.wallets == b.wallets, f"tick {i}: wallets differ"
         assert a.market_initial == b.market_initial, f"tick {i}"
@@ -147,7 +150,79 @@ def test_bulk_full_tick_speedup(once):
         )
 
 
-# -- 2. the 10k-VM single-process tick -------------------------------------------
+# -- 2. stage 4 with funded wallets ----------------------------------------------
+
+AUCTION_VMS = 24 if PERF_SMOKE else 160
+AUCTION_TICKS = 8 if PERF_SMOKE else 25
+#: Bursty VMs burst for BURST_ON of every BURST_PERIOD ticks (staggered
+#: by VM index) and idle in between, filling their wallets.
+BURST_PERIOD, BURST_ON = 10, 3
+
+
+def _set_bursty_demand(vms, tick):
+    for k, vm in enumerate(vms):
+        if k % 2:
+            vm.set_uniform_demand(0.6)
+        else:
+            vm.set_uniform_demand(
+                1.0 if (tick + k) % BURST_PERIOD < BURST_ON else 0.05
+            )
+
+
+def test_auction_with_funded_wallets(once):
+    """Stage 4 where half the VMs burst on wallets they filled while
+    idle: the array auction against the scalar heap auction.  Every
+    auction outcome and wallet must match bit for bit."""
+
+    def run(engine):
+        node, ctrl, vms = _dense_vms(AUCTION_VMS, engine)
+        t = 1.0
+        reports = []
+        for tick in range(BURST_PERIOD + AUCTION_TICKS):
+            _set_bursty_demand(vms, tick)
+            node.step(1.0)
+            t += 1.0
+            report = ctrl.tick(t)
+            if tick >= BURST_PERIOD:  # every wallet has seen an idle phase
+                reports.append(report)
+        return reports
+
+    measured = once(lambda: {e: run(e) for e in ("scalar", "bulk")})
+    purchases = 0
+    for i, (a, b) in enumerate(zip(measured["scalar"], measured["bulk"])):
+        assert a.auction.purchased == b.auction.purchased, f"tick {i}"
+        assert a.auction.spent_per_vm == b.auction.spent_per_vm, f"tick {i}"
+        assert a.auction.rounds == b.auction.rounds, f"tick {i}"
+        assert a.wallets == b.wallets, f"tick {i}: wallets differ"
+        purchases += len(a.auction.spent_per_vm)
+    assert purchases > 0, "no VM ever bought in the auction"
+    costs = {
+        engine: {"stage4_seconds_per_tick": median(
+            r.timings.auction for r in reports
+        )}
+        for engine, reports in measured.items()
+    }
+    rounds = median(r.auction.rounds for r in measured["bulk"])
+    _merge_section("auction", {
+        "num_vms": AUCTION_VMS,
+        "ticks": AUCTION_TICKS,
+        "median_rounds": rounds,
+        **costs,
+    })
+    emit(
+        render_table(
+            ["engine", "stage 4 / tick"],
+            [
+                [engine, f"{c['stage4_seconds_per_tick'] * 1e3:.3f} ms"]
+                for engine, c in costs.items()
+            ],
+            title=f"auction with funded wallets at {AUCTION_VMS} VMs "
+                  f"(median {rounds:g} rounds)",
+        )
+    )
+
+
+# -- 3. the 10k-VM single-process tick -------------------------------------------
 
 TICK10K_VMS = 2_000 if PERF_SMOKE else 10_000
 TICK10K_TICKS = 5
@@ -230,7 +305,7 @@ def test_tick_10k_inside_control_period(once):
     )
 
 
-# -- 3. serial vs sharded control-plane scaling ----------------------------------
+# -- 4. serial vs sharded control-plane scaling ----------------------------------
 
 NODE_COUNTS = (2,) if PERF_SMOKE else (2, 4, 8)
 VMS_PER_NODE = 4 if PERF_SMOKE else 16

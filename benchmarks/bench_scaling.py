@@ -43,7 +43,9 @@ def test_scheduler_tick_scaling(benchmark, num_vms):
     assert len(result) >= num_vms  # one allocation record per cgroup
 
 
-def _controller_host(num_vms, engine="vectorized"):
+def _dense_vms(num_vms, engine):
+    """A 128-CPU host with ``num_vms`` 2-vCPU VMs at 500 MHz, unwarmed;
+    returns ``(node, controller, vms)``."""
     from repro.core.config import ControllerConfig
     from repro.core.controller import VirtualFrequencyController
     from repro.hw.node import Node
@@ -71,9 +73,17 @@ def _controller_host(num_vms, engine="vectorized"):
     )
     ctrl.keep_reports = False
     template = VMTemplate("d", vcpus=2, vfreq_mhz=500.0)
+    vms = []
     for k in range(num_vms):
         vm = hv.provision(template, f"d-{k}")
         ctrl.register_vm(vm.name, 500.0)
+        vms.append(vm)
+    return node, ctrl, vms
+
+
+def _controller_host(num_vms, engine="bulk"):
+    node, ctrl, vms = _dense_vms(num_vms, engine)
+    for vm in vms:
         vm.set_uniform_demand(1.0)
     node.step(1.0)
     ctrl.tick(1.0)  # warm histories
@@ -102,24 +112,24 @@ def test_controller_iteration_scaling(benchmark, num_vms):
     assert report.timings.total < 0.25
 
 
-# -- scalar vs vectorised engine comparison (docs/performance.md) ----------------
+# -- scalar vs bulk engine comparison (docs/performance.md) ----------------------
 
 #: Reduced sizes under BENCH_SMOKE=1 (the bench-perf-smoke CI gate);
 #: the full run is the committed BENCH_controller.json baseline.
 PERF_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 PERF_VMS = 24 if PERF_SMOKE else 160
 PERF_TICKS = 8 if PERF_SMOKE else 25
-#: Required vectorised speedup of the stage 2-5 aggregate at full size
-#: (the ISSUE's >=5x target at 160 VMs); smoke sizes are too small for
-#: vectorisation to shine, there the regression check is the gate.
+#: Required bulk speedup of the stage 2-5 aggregate at full size (>=5x
+#: at 160 VMs); smoke sizes are too small for the array path to shine,
+#: there the regression check is the gate.
 PERF_MIN_SPEEDUP = 1.0 if PERF_SMOKE else 5.0
 
 
 def _stage25(timings):
-    """Aggregate of the vectorised stages (2 estimate .. 5 distribute).
+    """Aggregate of the array stages (2 estimate .. 5 distribute).
 
-    Stage 1 (monitoring) and 6 (enforcement) are kernel-surface bound
-    and identical between engines; the SoA fast path targets 2-5.
+    Stage 1 (monitoring) and 6 (enforcement) are kernel-surface bound;
+    ``bench_bulk.py`` times them separately.
     """
     return timings.estimate + timings.credits + timings.auction + timings.distribute
 
@@ -151,7 +161,7 @@ def _measure_engine(engine):
 
 
 def test_engine_speedup_and_baseline(benchmark):
-    """Vectorised vs scalar stage 2-5 cost; records BENCH_controller.json.
+    """Bulk vs scalar stage 2-5 cost; records BENCH_controller.json.
 
     Also cross-checks the two report streams for exact equality — the
     speedup must not come from computing something else.
@@ -159,29 +169,29 @@ def test_engine_speedup_and_baseline(benchmark):
 
     def compare():
         scalar, scalar_reports = _measure_engine("scalar")
-        vector, vector_reports = _measure_engine("vectorized")
-        return scalar, vector, scalar_reports, vector_reports
+        bulk, bulk_reports = _measure_engine("bulk")
+        return scalar, bulk, scalar_reports, bulk_reports
 
-    scalar, vector, scalar_reports, vector_reports = benchmark.pedantic(
+    scalar, bulk, scalar_reports, bulk_reports = benchmark.pedantic(
         compare, rounds=1, iterations=1
     )
 
-    for i, (a, b) in enumerate(zip(scalar_reports, vector_reports)):
+    for i, (a, b) in enumerate(zip(scalar_reports, bulk_reports)):
         assert a.allocations == b.allocations, f"tick {i}: allocations differ"
         assert a.wallets == b.wallets, f"tick {i}: wallets differ"
         assert a.market_initial == b.market_initial, f"tick {i}"
         assert a.freely_distributed == b.freely_distributed, f"tick {i}"
 
     speedup = (
-        scalar["stage2_5_seconds_per_tick"] / vector["stage2_5_seconds_per_tick"]
-        if vector["stage2_5_seconds_per_tick"] > 0
+        scalar["stage2_5_seconds_per_tick"] / bulk["stage2_5_seconds_per_tick"]
+        if bulk["stage2_5_seconds_per_tick"] > 0
         else float("inf")
     )
     section = {
         "num_vms": PERF_VMS,
         "ticks": PERF_TICKS,
         "scalar": scalar,
-        "vectorized": vector,
+        "bulk": bulk,
         "speedup_stage2_5": speedup,
     }
     out_path = results_path("BENCH_controller.json")
@@ -197,8 +207,8 @@ def test_engine_speedup_and_baseline(benchmark):
             [
                 ["scalar", f"{scalar['stage2_5_seconds_per_tick'] * 1e3:.3f} ms",
                  f"{scalar['total_seconds_per_tick'] * 1e3:.3f} ms"],
-                ["vectorized", f"{vector['stage2_5_seconds_per_tick'] * 1e3:.3f} ms",
-                 f"{vector['total_seconds_per_tick'] * 1e3:.3f} ms"],
+                ["bulk", f"{bulk['stage2_5_seconds_per_tick'] * 1e3:.3f} ms",
+                 f"{bulk['total_seconds_per_tick'] * 1e3:.3f} ms"],
                 ["speedup", f"{speedup:.2f}x", ""],
             ],
             title=f"engine comparison at {PERF_VMS} VMs ({PERF_VMS * 2} vCPUs)",

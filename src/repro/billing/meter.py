@@ -6,7 +6,7 @@ attribute check per tick), and when attached the engine works *post
 hoc* from each finished :class:`~repro.core.controller.ControllerReport`
 plus the controller's own registries — it never touches the stages, so
 report and ledger streams stay bit-identical with billing on or off
-(``tests/billing/test_transparency.py`` proves this across all three
+(``tests/billing/test_transparency.py`` proves this across both
 engines).
 
 The metering arithmetic lives in :class:`UsageMeter` and the

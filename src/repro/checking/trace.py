@@ -53,7 +53,7 @@ from repro.virt.template import VMTemplate
 TRACE_VERSION = 1
 
 #: Engines a trace can run under.
-ENGINES: Tuple[str, ...] = ("scalar", "vectorized", "bulk")
+ENGINES: Tuple[str, ...] = ("scalar", "bulk")
 
 
 @dataclass
@@ -341,10 +341,9 @@ def replay(
     """Replay a trace under one or more engines, oracles armed.
 
     ``engines`` defaults to the header's ``engine`` field: ``"both"``
-    runs scalar and vectorised in lockstep (the historical pairing —
-    old traces keep their meaning), ``"all"`` runs every engine
-    including bulk, and with two or more replicas cross-engine
-    bit-identity is checked each tick, first replica versus each other.
+    (or its older spelling ``"all"``) runs scalar and bulk in lockstep
+    and checks cross-engine bit-identity each tick, first replica
+    versus the other.
     With ``stop_at_first`` (the default) replay returns at the first
     violating tick — what the shrinker's predicate wants; pass
     ``False`` to collect everything.
@@ -357,12 +356,7 @@ def replay(
     """
     if engines is None:
         requested = trace.header.get("engine", "both")
-        if requested == "both":
-            engines = ("scalar", "vectorized")
-        elif requested == "all":
-            engines = ENGINES
-        else:
-            engines = (requested,)
+        engines = ENGINES if requested in ("both", "all") else (requested,)
     engines = tuple(engines)
     for engine in engines:
         if engine not in ENGINES:

@@ -20,9 +20,9 @@ from typing import List, Optional
 from repro.sim.report import render_table, scores_rows, series_to_rows
 
 #: Single-engine choices (controller hot-path implementations).
-_ENGINE_CHOICES = ("scalar", "vectorized", "bulk")
-#: Multi-engine selectors for the checking tools: ``both`` keeps its
-#: historical meaning (scalar + vectorized), ``all`` adds bulk.
+_ENGINE_CHOICES = ("scalar", "bulk")
+#: Multi-engine selectors for the checking tools: ``both`` and its
+#: older spelling ``all`` run scalar + bulk in lockstep.
 _ENGINE_MULTI = _ENGINE_CHOICES + ("both", "all")
 
 
@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--engine", choices=_ENGINE_MULTI,
                     default="both",
                     help="engine(s) to replay under (default both = "
-                         "scalar+vectorized; 'all' adds bulk; with two "
-                         "or more, cross-engine bit-identity is checked)")
+                         "scalar+bulk, also spelled 'all'; with both, "
+                         "cross-engine bit-identity is checked)")
     cf.add_argument("--no-faults", action="store_true",
                     help="generate scenarios without fault schedules")
     cf.add_argument("--repro-dir", default=None, metavar="DIR",
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--tenants", type=int, default=2,
                     help="tenants to spread the VMs over (default 2)")
     bd.add_argument("--seed", type=int, default=42)
-    bd.add_argument("--engine", choices=_ENGINE_CHOICES, default="vectorized")
+    bd.add_argument("--engine", choices=_ENGINE_CHOICES, default="bulk")
     bd.add_argument("--json", action="store_true",
                     help="emit invoices as JSON instead of tables")
     bd.add_argument("--per-vcpu", action="store_true",
@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="controller ticks per scenario (default 200)")
     bf.add_argument("--tenants", type=int, default=3,
                     help="tenants per scenario (default 3)")
-    bf.add_argument("--engine", choices=_ENGINE_MULTI, default="all",
-                    help="engine(s) to meter under (default all)")
+    bf.add_argument("--engine", choices=_ENGINE_MULTI, default="both",
+                    help="engine(s) to meter under (default both)")
     bf.add_argument("--repro-dir", default=None, metavar="DIR",
                     help="shrink each failing seed's trace and write the "
                          "minimal JSONL repro into DIR")
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="controller ticks per scenario (default 150)")
     sle.add_argument("--tenants", type=int, default=3,
                      help="tenants per scenario (default 3)")
-    sle.add_argument("--engine", choices=_ENGINE_MULTI, default="all",
-                     help="engine(s) to evaluate under (default all)")
+    sle.add_argument("--engine", choices=_ENGINE_MULTI, default="both",
+                     help="engine(s) to evaluate under (default both)")
     sle.add_argument("--out", default=None, metavar="DIR",
                      help="write per-seed alert ledgers and a summary "
                           "JSON into DIR (the CI artefact)")
@@ -361,10 +361,9 @@ def _add_controller_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=_ENGINE_CHOICES,
                         default=None,
                         help="controller hot-path implementation: the "
-                             "structure-of-arrays fast path (default), "
-                             "the bulk array-backend path on top of it, "
-                             "or the per-vCPU scalar oracle; reports are "
-                             "bit-identical all three ways")
+                             "bulk array path (default) or the per-vCPU "
+                             "scalar oracle; reports are bit-identical "
+                             "both ways")
     parser.add_argument("--set", dest="config_sets", action="append",
                         default=[], metavar="KEY=VALUE",
                         help="override any ControllerConfig field by name "
@@ -734,14 +733,7 @@ def _cmd_check_replay(args) -> int:
     trace = Trace.load(args.trace)
     engines = None
     if args.engine is not None:
-        from repro.checking.trace import ENGINES
-
-        if args.engine == "both":
-            engines = ("scalar", "vectorized")
-        elif args.engine == "all":
-            engines = ENGINES
-        else:
-            engines = (args.engine,)
+        engines = _multi_engines(args.engine)
     result = replay(trace, engines=engines, stop_at_first=False)
     for violation in result.violations:
         print(violation)
@@ -1104,15 +1096,7 @@ def _cmd_bill_fuzz(args) -> int:
         shrink_trace,
     )
 
-    engines = None
-    if args.engine == "both":
-        engines = ("scalar", "vectorized")
-    elif args.engine == "all":
-        from repro.checking.trace import ENGINES
-
-        engines = ENGINES
-    elif args.engine in _ENGINE_CHOICES:
-        engines = (args.engine,)
+    engines = _multi_engines(args.engine)
     failures = 0
     engine_ticks = 0
     for seed in range(args.start_seed, args.start_seed + args.seeds):
@@ -1159,9 +1143,7 @@ def _cmd_slo(args) -> int:
 
 
 def _multi_engines(choice: str):
-    if choice == "both":
-        return ("scalar", "vectorized")
-    if choice == "all":
+    if choice in ("both", "all"):
         from repro.checking.trace import ENGINES
 
         return ENGINES
@@ -1370,7 +1352,9 @@ def _cmd_slo_watch(args) -> int:
                     vm.set_uniform_demand(rng.random())
                 node.step(cfg.period_s)
             manager.tick(t)
-            transitions = plane.observe_cluster(manager, tick, t=t)
+            # observe_cluster takes the controllers' 0-based tick count
+            # (it reads each billing meter at tick + 1).
+            transitions = plane.observe_cluster(manager, tick - 1, t=t)
             for transition in transitions:
                 print(
                     f"  tick {tick}: {transition['state'].upper()} "
@@ -1458,7 +1442,7 @@ def _cmd_serve_metrics(args) -> int:
                     vm.set_uniform_demand(rng.random())
                 node.step(cfg.period_s)
             manager.tick(float(i))
-            plane.observe_cluster(manager, i, t=float(i))
+            plane.observe_cluster(manager, i - 1, t=float(i))
 
         def scrape() -> str:
             # One exposition page: manager aggregates, every node's

@@ -780,9 +780,10 @@ class HostBackend:
         """Array spelling of :meth:`write_caps` driven by a dirty mask.
 
         ``paths``/``quota_us`` are parallel; only rows where ``dirty``
-        is true are written (``dirty=None`` writes every row).  Clean
-        rows count as :attr:`BackendStats.cap_writes_skipped`, exactly
-        like a value-unchanged skip in :meth:`write_cap_one`.  Returns
+        is true are written (``dirty=None``, or the unbatched seed
+        pattern, writes every row).  Clean rows count as
+        :attr:`BackendStats.cap_writes_skipped`, exactly like a
+        value-unchanged skip in :meth:`write_cap_one`.  Returns
         the quotas now in force among the *dirty* rows; vanished
         cgroups are dropped and, in tolerant mode, transient write
         errors land in :attr:`last_write_errors` per path.
@@ -792,7 +793,7 @@ class HostBackend:
         before = self.stats.copy()
         written: Dict[str, int] = {}
         self.last_write_errors = {}
-        if dirty is None:
+        if dirty is None or not self.batched:
             rows: Sequence[int] = range(len(paths))
         else:
             rows = np.flatnonzero(dirty)

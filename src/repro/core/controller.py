@@ -24,7 +24,12 @@ from typing import Dict, List, Optional
 from repro.cgroups.fs import CgroupFS
 from repro.cgroups.procfs import ProcFS
 from repro.cgroups.sysfs import CpuFreqSysFS
-from repro.core.auction import AuctionOutcome, compute_market, run_auction
+from repro.core.auction import (
+    AuctionOutcome,
+    compute_market,
+    run_auction,
+    run_auction_arrays,
+)
 from repro.core.backend import HostBackend, vm_component
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger, apply_base_capping
@@ -160,16 +165,13 @@ class VirtualFrequencyController:
         #: is pure in ``period_s * vfreq / fmax``, all fixed between
         #: (re-)registrations, so stage 3 never recomputes it per sample.
         self._guarantee: Dict[str, float] = {}
-        #: Structure-of-arrays state for the vectorized/bulk engines
-        #: (None on the scalar oracle path).
+        #: Structure-of-arrays state for the bulk engine (None on the
+        #: scalar oracle path).
         self._table: Optional[VcpuTable] = (
             VcpuTable(self.config.history_len)
-            if self.config.engine in ("vectorized", "bulk")
+            if self.config.engine == "bulk"
             else None
         )
-        #: The bulk engine drives stages 1/6 through the backend's
-        #: array interface and stage 2 through the dirty-set cache.
-        self._bulk = self.config.engine == "bulk"
         #: Bumped on every registry mutation; part of the bulk view
         #: cache key (a stable backend batch + an unchanged registry
         #: means the gathered TickView can be reused as-is).
@@ -366,16 +368,16 @@ class VirtualFrequencyController:
         """One full iteration of the feedback loop at simulation time ``t``.
 
         Dispatches to the engine selected by ``config.engine``: the
-        structure-of-arrays fast path (default) or the per-vCPU scalar
-        oracle.  Both produce bit-identical reports.
+        bulk-array fast path (default) or the per-vCPU scalar oracle.
+        Both produce bit-identical reports.
         """
         if self.obs is None:
             if self._table is not None:
-                return self._tick_vectorized(t)
+                return self._tick_bulk(t)
             return self._tick_scalar(t)
         try:
             if self._table is not None:
-                return self._tick_vectorized(t)
+                return self._tick_bulk(t)
             return self._tick_scalar(t)
         except Exception as exc:
             from repro.checking.invariants import InvariantViolationError
@@ -495,25 +497,28 @@ class VirtualFrequencyController:
         self._finish(report)
         return report
 
-    def _tick_vectorized(self, t: float) -> ControllerReport:
-        """Structure-of-arrays fast path (``engine="vectorized"``).
+    def _tick_bulk(self, t: float) -> ControllerReport:
+        """Bulk-array fast path (``engine="bulk"``).
 
         One iteration over NumPy columns instead of per-vCPU dict
-        loops; see :mod:`repro.core.soa` for why every array is
-        gathered in sample order and how reductions keep the scalar
-        engine's operation order (and therefore its exact bits).
+        loops: stages 1 and 6 go through the backend's array interface,
+        stage 2 through the dirty-set decision cache and stage 4
+        through :func:`~repro.core.auction.run_auction_arrays`.  See
+        :mod:`repro.core.soa` for why every array is gathered in sample
+        order and how reductions keep the scalar engine's operation
+        order (and therefore its exact bits).
         """
         cfg = self.config
         table = self._table
         p_us = period_us(cfg.period_s)
         report = ControllerReport(t=t)
 
-        # Stage 1 — monitoring; samples land directly in table slots.
-        # The bulk engine takes the backend's array path (stale-sample
-        # carry-forward is inherently per-path, so an active resilience
-        # policy keeps the list-based monitor).
+        # Stage 1 — monitoring; samples land directly in table slots
+        # through the backend's array path (stale-sample carry-forward
+        # is inherently per-path, so an active resilience policy keeps
+        # the list-based monitor).
         t0 = time.perf_counter()
-        if self._bulk and self.resilience is None:
+        if self.resilience is None:
             samples, view = self._bulk_sample(table)
         else:
             samples, view = self.monitor.sample_into(
@@ -531,9 +536,7 @@ class VirtualFrequencyController:
             report.timings.estimate = time.perf_counter() - t0
             self._finish(report)
             return report
-        estimates, trends, cases = decide_batch(
-            table, view, cfg, use_cache=self._bulk
-        )
+        estimates, trends, cases = decide_batch(table, view, cfg)
         if self.keep_reports:
             # The per-path decision objects are report detail only; the
             # stages below consume the arrays directly.
@@ -562,41 +565,26 @@ class VirtualFrequencyController:
             alloc = np.maximum(alloc, guarantees)
         report.timings.credits = time.perf_counter() - t0
 
-        # Stage 4 — auction (Eq. 6 + Algorithm 1, shared heap version).
+        # Stage 4 — auction (Eq. 6 + Algorithm 1 on arrays).  Only
+        # buyers (estimate above allocation) have a positive residual,
+        # and the auction ignores every entry <= 1e-9.
         t0 = time.perf_counter()
         total_cycles = cycles_per_period(cfg.period_s, self.num_cpus)
         market = max(0.0, total_cycles - seqsum(alloc))
         report.market_initial = market
         residual = np.minimum(estimates, p_us) - alloc
-        if market > 0 and not self.ledger.any_funded():
-            # Nobody can pay: run_auction would return empty-handed
-            # after scanning every buyer, so synthesise its exact result
-            # (rounds included) without building the per-path dicts.
-            outcome = AuctionOutcome(market_left=market)
-            outcome.rounds = 1 if bool(np.any(residual > 1e-9)) else 0
-        else:
-            buyers = np.flatnonzero(estimates > alloc)
-            residual_list = residual.tolist()
-            demands = {}
-            vm_of = {}
-            for i in buyers.tolist():
-                path = view.paths[i]
-                demands[path] = residual_list[i]
-                vm_of[path] = view.vms[i]
-            priorities = (
-                {vm: self._vm_vfreq[vm] for vm, _ in view.vm_order}
-                if cfg.auction_priority == "frequency"
-                else None
-            )
-            window = cfg.auction_window_frac * p_us
-            outcome = run_auction(
-                market, demands, vm_of, self.ledger, window,
-                priorities=priorities,
-            )
-            for path, bought in outcome.purchased.items():
-                i = view.pos[path]
-                alloc[i] += bought
-                residual[i] -= bought
+        priorities = (
+            {vm: self._vm_vfreq[vm] for vm, _ in view.vm_order}
+            if cfg.auction_priority == "frequency"
+            else None
+        )
+        outcome, bought = run_auction_arrays(
+            market, residual, view.paths, view.vms, self.ledger,
+            cfg.auction_window_frac * p_us, priorities=priorities,
+        )
+        # Adding and subtracting 0.0 leaves non-buyers' bits unchanged.
+        alloc += bought
+        residual -= bought
         report.auction = outcome
         report.timings.auction = time.perf_counter() - t0
 
@@ -628,10 +616,7 @@ class VirtualFrequencyController:
             report.degraded.update(overrides)
             for path, cycles in overrides.items():
                 table.set_cap_path(path, cycles)
-        if self._bulk:
-            self._bulk_enforce(table, view, alloc, overrides)
-        else:
-            self.enforcer.apply(allocations)
+        self._bulk_enforce(table, view, alloc, overrides)
         if self.resilience is not None:
             self._retry_failed_writes(allocations)
         self._current_cap.update(allocations)
@@ -862,10 +847,9 @@ class VirtualFrequencyController:
         self._tick_count += 1
         cfg = self.config
         if cfg.snapshot_path and self._tick_count % cfg.snapshot_every_ticks == 0:
-            from repro.core.snapshot import to_json
+            from repro.core.snapshot import save
 
-            with open(cfg.snapshot_path, "w") as fh:
-                fh.write(to_json(self))
+            save(self, cfg.snapshot_path)
 
     # -- reporting helpers ----------------------------------------------------------
 

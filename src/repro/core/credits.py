@@ -65,21 +65,13 @@ class CreditLedger:
         self._wallets[vm_name] = min(wallet, self.config.credit_cap)
         return gain
 
-    def apply_gain(self, vm_name: str, gain: float) -> None:
-        """Credit a pre-computed Eq. 4 gain (the vectorised stage 3).
+    def apply_gains(self, named_gains) -> None:
+        """Credit pre-computed Eq. 4 gains (the bulk engine's stage 3).
 
-        The gain is the per-VM segment reduction the vectorised engine
+        Each gain is the per-VM segment reduction the bulk engine
         computes with ``np.bincount``; the wallet update is the same two
         operations :meth:`accrue` performs, so both engines produce
         bit-identical balances.
-        """
-        if gain < 0:
-            raise ValueError(f"negative credit gain for {vm_name}: {gain}")
-        wallet = self._wallets.get(vm_name, 0.0) + gain
-        self._wallets[vm_name] = min(wallet, self.config.credit_cap)
-
-    def apply_gains(self, named_gains) -> None:
-        """Batch :meth:`apply_gain` over ``(vm_name, gain)`` pairs.
 
         A zero gain on an existing wallet is skipped — ``w + 0.0`` and
         ``min(w, cap)`` are exact no-ops there (wallets are clipped at
@@ -98,17 +90,16 @@ class CreditLedger:
                 continue
             wallets[vm_name] = min(wallets.get(vm_name, 0.0) + gain, cap)
 
-    def any_funded(self, threshold: float = 1e-9) -> bool:
-        """True if any wallet could pay in an auction (balance > threshold).
+    def settle(self, balances) -> None:
+        """Store post-auction ``(vm_name, balance)`` pairs.
 
-        Lets the controller skip the stage-4 buyer bookkeeping entirely
-        on the common contended steady state where every VM consumes at
-        or above its guarantee and no wallet ever fills.
+        The array auction computes each buyer's wallet after its last
+        purchase with the same ``max(0.0, balance - amount)`` that
+        :meth:`spend` applies, so storing it is the sequence of spends.
         """
-        for balance in self._wallets.values():
-            if balance > threshold:
-                return True
-        return False
+        wallets = self._wallets
+        for vm_name, balance in balances:
+            wallets[vm_name] = balance
 
     def spend(self, vm_name: str, amount: float) -> None:
         """Deduct an auction purchase; wallets never go negative."""

@@ -258,7 +258,7 @@ def render_stage_seconds(
 
     ``vfreq_iteration_seconds`` is the latest tick only; this family is
     the running average an operator tracks when comparing the scalar
-    and vectorised engines (see docs/performance.md), labelled with the
+    and bulk engines (see docs/performance.md), labelled with the
     active engine so a dashboard can split the series on switch-over.
     """
     own = buf is None

@@ -121,7 +121,8 @@ class Monitor:
     def sample_into(self, table, registered, guarantees, caps):
         """One monitoring pass landing directly in :class:`VcpuTable` slots.
 
-        The vectorised engine's stage 1: samples are filtered to
+        The bulk engine's stage 1 under a resilience policy (the
+        stale-sample carry-forward is per path): samples are filtered to
         registered VMs (same predicate as the scalar tick) and gathered
         into sample-order arrays, assigning slots to new vCPUs on the
         fly.  Returns ``(samples, view)`` — the filtered sample list for

@@ -12,6 +12,7 @@ resumes control exactly where the old one stopped.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict
 
 from repro.core.controller import VirtualFrequencyController
@@ -36,6 +37,23 @@ def snapshot(controller: VirtualFrequencyController) -> Dict:
 def to_json(controller: VirtualFrequencyController) -> str:
     """Snapshot as a JSON string (what an operator would persist)."""
     return json.dumps(snapshot(controller), sort_keys=True)
+
+
+def save(controller: VirtualFrequencyController, path: str) -> None:
+    """Persist a snapshot atomically: a crash mid-write keeps the old one.
+
+    The JSON goes to a temporary file in the target's directory, is
+    flushed and fsynced, then renamed over ``path`` with
+    :func:`os.replace` — readers see either the previous snapshot or the
+    new one, never a torn file.  A failed write leaves only the
+    temporary file behind, which the next save overwrites.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(to_json(controller))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def validate(controller: VirtualFrequencyController, state: Dict) -> None:

@@ -11,7 +11,7 @@ vectorised array operations regardless of population size.
 
 Bit-identity with the scalar oracle
 -----------------------------------
-The vectorised engine (``ControllerConfig.engine = "vectorized"``) must
+The bulk engine (``ControllerConfig.engine = "bulk"``) must
 produce *bit-identical* reports to the scalar one (``"scalar"``), which
 is kept as the oracle.  Floating-point addition is not associative, so
 identical results require identical operation order, which this module
@@ -108,7 +108,6 @@ class TickView:
     rows: np.ndarray  # intp, table slot per sample
     consumed: np.ndarray  # float64, u_{i,j,t} per sample
     paths: List[str]  # cgroup path per sample
-    pos: Dict[str, int]  # cgroup path -> position in the arrays
     vms: List[str]  # owning VM name per sample
     vm_order: List[Tuple[str, int]]  # first-seen VM order, with dense ids
 
@@ -388,7 +387,6 @@ class VcpuTable:
         rows = np.empty(n, dtype=np.intp)
         consumed = np.empty(n)
         paths: List[str] = []
-        pos: Dict[str, int] = {}
         vms: List[str] = []
         vm_order: List[Tuple[str, int]] = []
         seen_vms: Dict[str, int] = {}
@@ -407,13 +405,12 @@ class VcpuTable:
             rows[i] = slot
             consumed[i] = s.consumed_cycles
             paths.append(path)
-            pos[path] = i
             vms.append(vm_name)
             if vm_name not in seen_vms:
                 seen_vms[vm_name] = 1
                 vm_order.append((vm_name, self._vm_id[vm_name]))
         return TickView(
-            rows=rows, consumed=consumed, paths=paths, pos=pos,
+            rows=rows, consumed=consumed, paths=paths,
             vms=vms, vm_order=vm_order,
         )
 
@@ -502,7 +499,6 @@ def decide_batch(
     table: VcpuTable,
     view: TickView,
     config: ControllerConfig,
-    use_cache: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-2 decisions for every sampled vCPU at once.
 
@@ -512,12 +508,11 @@ def decide_batch(
     Histories must already include this tick's observation
     (:meth:`VcpuTable.observe` first), mirroring the scalar order.
 
-    With ``use_cache=True`` (the bulk engine's dirty-set recompute),
-    rows whose decision inputs provably did not change since their
-    last decision — the consumption window shifted in a repeat of
-    itself (``run_len > history_len``) and the cap equals the exact
-    value the cached decision was computed against — are served from
-    the per-slot cache instead of recomputed.  The decision is a pure
+    Dirty-set recompute: rows whose decision inputs provably did not
+    change since their last decision — the consumption window shifted
+    in a repeat of itself (``run_len > history_len``) and the cap
+    equals the exact value the cached decision was computed against —
+    are served from the per-slot cache instead of recomputed.  The decision is a pure
     per-element function of (window, cap, config), so cached and
     recomputed values are bit-identical by construction (and proved
     against the scalar oracle by the cross-engine harness on fuzzed
@@ -534,9 +529,6 @@ def decide_batch(
     n_arr = table.hist_n[rows]
     cap_raw = np.where(table.has_cap[rows], table.cap[rows], p_us)
     cap = np.maximum(cap_raw, floor)
-
-    if not use_cache:
-        return _decide_core(table, rows, u, n_arr, cap, cfg, p_us, floor, eps)
 
     clean = (
         table.decide_valid[rows]

@@ -26,7 +26,7 @@ Everything evaluates deterministically at tick boundaries from the
 identical alert ledger (``make slo-smoke`` gates it in CI).  Like the
 obs hub and the billing engine, the plane is a pure observer — report
 and decision-ledger streams are bit-identical with it attached or not
-(``tests/obs/test_slo_transparency.py``, all three engines).
+(``tests/obs/test_slo_transparency.py``, both engines).
 """
 
 from __future__ import annotations

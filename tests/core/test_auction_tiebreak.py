@@ -4,42 +4,60 @@ Two VMs with equal credits and equal demand are the degenerate case
 where any nondeterminism in the heap order would show: the spread order
 must be identical run-to-run, across both engines, and across a
 snapshot restore mid-run.  The tie is broken by VM name (the total
-order in the heap entry), so "a" shops before "b" — forever.
+order in the heap entry), so "a" shops before "b" — forever.  The unit
+cases run on both the heap oracle and the array auction.
 """
 
+import numpy as np
+
 from repro.checking import Trace, replay
-from repro.core.auction import run_auction
+from repro.core.auction import run_auction, run_auction_arrays
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger
 
 
-def _tied_auction(market):
-    ledger = CreditLedger(ControllerConfig.paper_evaluation())
-    ledger.set_balance("vm-a", 50_000.0)
-    ledger.set_balance("vm-b", 50_000.0)
-    demands = {"/m/vm-a/vcpu0": 40_000.0, "/m/vm-b/vcpu0": 40_000.0}
-    vm_of = {"/m/vm-a/vcpu0": "vm-a", "/m/vm-b/vcpu0": "vm-b"}
-    return run_auction(market, demands, vm_of, ledger, window=10_000.0)
+def _array_auction(market, demands, vm_of, ledger, window):
+    paths = list(demands)
+    outcome, _ = run_auction_arrays(
+        market, np.array([demands[p] for p in paths]), paths,
+        [vm_of[p] for p in paths], ledger, window,
+    )
+    return outcome
 
 
 class TestUnitTieBreak:
+    auction = staticmethod(run_auction)
+
+    def _tied_auction(self, market):
+        ledger = CreditLedger(ControllerConfig.paper_evaluation())
+        ledger.set_balance("vm-a", 50_000.0)
+        ledger.set_balance("vm-b", 50_000.0)
+        # vm-b first in sample order: the name, not the order, decides.
+        demands = {"/m/vm-b/vcpu0": 40_000.0, "/m/vm-a/vcpu0": 40_000.0}
+        vm_of = {"/m/vm-a/vcpu0": "vm-a", "/m/vm-b/vcpu0": "vm-b"}
+        return self.auction(market, demands, vm_of, ledger, window=10_000.0)
+
     def test_name_order_wins_the_single_window(self):
         """With exactly one window of cycles for sale, the name-ordered
         first VM gets it — deterministically."""
-        outcome = _tied_auction(market=10_000.0)
+        outcome = self._tied_auction(market=10_000.0)
         assert outcome.purchased == {"/m/vm-a/vcpu0": 10_000.0}
         assert outcome.spent_per_vm == {"vm-a": 10_000.0}
 
     def test_equal_split_when_market_allows(self):
-        outcome = _tied_auction(market=80_000.0)
+        outcome = self._tied_auction(market=80_000.0)
         assert outcome.purchased["/m/vm-a/vcpu0"] == outcome.purchased["/m/vm-b/vcpu0"]
 
     def test_repeated_runs_identical(self):
-        first = _tied_auction(market=30_000.0)
-        second = _tied_auction(market=30_000.0)
+        first = self._tied_auction(market=30_000.0)
+        second = self._tied_auction(market=30_000.0)
         assert first.purchased == second.purchased
         assert first.spent_per_vm == second.spent_per_vm
         assert first.rounds == second.rounds
+
+
+class TestUnitTieBreakArrays(TestUnitTieBreak):
+    auction = staticmethod(_array_auction)
 
 
 def _tied_trace(with_restart):
@@ -61,7 +79,7 @@ class TestWholeLoopTieBreak:
     def test_identical_spread_across_engines(self):
         """replay() under both engines asserts bit-identity of every
         auction field each tick — a tie broken differently by the
-        vectorized path would fail here as engine_identity."""
+        bulk path would fail here as engine_identity."""
         result = replay(_tied_trace(with_restart=False), collect_reports=True)
         assert result.ok, [str(v) for v in result.violations]
         # And the tie itself resolves symmetrically over the run: equal

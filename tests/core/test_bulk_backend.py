@@ -136,6 +136,22 @@ class TestApplyCapsParity:
             str(quotas[0]), str(ENF_US),
         ]
 
+    def test_unbatched_writes_every_row(self):
+        """``batched=False`` is the seed access pattern: unconditional
+        writes, whatever the caller's dirty mask says."""
+        node, _, backend = _host()
+        backend.batched = False
+        node.step(1.0)
+        caps = self._caps(backend)
+        paths = list(caps)
+        quotas = np.array([caps[p] for p in paths], dtype=np.int64)
+        backend.apply_caps(paths, quotas, None, ENF_US)
+        writes_before = backend.stats.fs_writes
+        clean = np.zeros(len(paths), dtype=bool)
+        written = backend.apply_caps(paths, quotas, clean, ENF_US)
+        assert written == {p: int(q) for p, q in zip(paths, quotas)}
+        assert backend.stats.fs_writes == writes_before + len(paths)
+
 
 def _plan(kind):
     return FaultPlan(

@@ -71,7 +71,7 @@ class TestExport:
     def test_stage_seconds_zero_without_reports(self):
         node, hv, ctrl = make_host()
         out = render_controller(ctrl)
-        assert 'vfreq_stage_seconds{engine="vectorized",stage="monitor"} 0' in out
+        assert 'vfreq_stage_seconds{engine="bulk",stage="monitor"} 0' in out
 
     def test_exposition_format_shape(self):
         """Every non-comment line is `name{labels} value` or `name value`."""

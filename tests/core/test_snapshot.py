@@ -1,5 +1,7 @@
 """Tests for controller snapshot/restore and dynamic QoS changes."""
 
+import json
+
 import pytest
 
 from repro.core.snapshot import from_json, restore, snapshot, to_json
@@ -187,6 +189,75 @@ class TestPeriodicSnapshot:
         # auto-restored from the tick-6 snapshot
         assert reborn._vm_vfreq == {"persist": T.vfreq_mhz}
         assert reborn.ledger.wallets() == ctrl.reports[5].wallets
+
+    def test_write_failing_partway_keeps_the_previous_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash mid-write (half the JSON on disk, then ENOSPC) must
+        leave the last good snapshot in place for the restart."""
+        import builtins
+        import errno
+
+        from repro.core.config import ControllerConfig
+        from repro.core.controller import VirtualFrequencyController
+
+        snap = str(tmp_path / "ctrl.json")
+        cfg = ControllerConfig.paper_evaluation(
+            snapshot_path=snap, snapshot_every_ticks=3
+        )
+        node, hv, ctrl = make_host(config=cfg)
+        vm = hv.provision(T, "persist")
+        ctrl.register_vm("persist", T.vfreq_mhz)
+        vm.set_uniform_demand(0.3)
+        for k in range(3):
+            node.step(1.0)
+            ctrl.tick(float(k + 1))
+        with open(snap) as fh:
+            good = fh.read()
+
+        real_open = builtins.open
+
+        class TornFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+                return False
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and str(file).startswith(snap):
+                return TornFile(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", torn_open)
+        for k in range(3, 6):
+            node.step(1.0)
+            if k == 5:  # tick 6 snapshots
+                with pytest.raises(OSError):
+                    ctrl.tick(float(k + 1))
+            else:
+                ctrl.tick(float(k + 1))
+        monkeypatch.setattr(builtins, "open", real_open)
+
+        with open(snap) as fh:
+            assert fh.read() == good
+        reborn = VirtualFrequencyController(
+            node.fs, node.procfs, node.sysfs,
+            num_cpus=node.spec.logical_cpus, fmax_mhz=node.spec.fmax_mhz,
+            config=cfg,
+        )
+        assert reborn.ledger.wallets() == ctrl.reports[2].wallets
+        assert snapshot(reborn) == json.loads(good)
 
 
 class TestDynamicQoS:

@@ -112,7 +112,6 @@ class TestDecideBatch:
                 rows=rows,
                 consumed=consumed,
                 paths=list(paths),
-                pos={p: i for i, p in enumerate(paths)},
                 vms=vms,
                 vm_order=[(v, i) for i, v in enumerate(dict.fromkeys(vms))],
             )
@@ -139,7 +138,7 @@ class TestDecideBatch:
         consumed = np.array([5e5])
         t.observe(rows, consumed)
         view = TickView(rows=rows, consumed=consumed, paths=["/p"],
-                        pos={"/p": 0}, vms=["a"], vm_order=[("a", 0)])
+                        vms=["a"], vm_order=[("a", 0)])
         _, _, cases = decide_batch(t, view, cfg)
         from repro.core.soa import _CASE_OF_CODE
 

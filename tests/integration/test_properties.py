@@ -21,7 +21,7 @@ from tests.conftest import TINY, make_host
 from tests.strategies import engines, vm_fleets
 
 
-def run_host(fleet, seconds=20.0, engine="vectorized", **config_overrides):
+def run_host(fleet, seconds=20.0, engine="bulk", **config_overrides):
     """fleet is a list of (level, vfreq) pairs, one single-vCPU VM each."""
     config = ControllerConfig.paper_evaluation(
         engine=engine, **config_overrides

@@ -14,7 +14,7 @@ def drive_host(
     ticks=8,
     *,
     vms=2,
-    engine="vectorized",
+    engine="bulk",
     obs_config=None,
     seed=7,
     config_overrides=None,

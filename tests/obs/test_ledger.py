@@ -24,7 +24,7 @@ def driven():
 
 
 class TestLedgerArithmetic:
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
     def test_recompute_is_bit_exact(self, engine):
         _, ctrl, obs = drive_host(TICKS, engine=engine)
         assert len(obs.ledger.ticks) == TICKS

@@ -6,9 +6,56 @@ import os
 
 import pytest
 
+import repro.cli
+import repro.obs.slo
 from repro.cli import main
 from repro.obs.slo import SLOConfig, SLOPlane
-from repro.obs.tsdb import S_GUARANTEE_BAD, S_GUARANTEE_CHECKS
+from repro.obs.tsdb import (
+    S_CREDITS_USD,
+    S_GUARANTEE_BAD,
+    S_GUARANTEE_CHECKS,
+    S_REVENUE_USD,
+)
+
+
+@pytest.fixture
+def cluster_capture(monkeypatch):
+    """Record the SLO plane and node manager a cluster command builds."""
+    seen = {"planes": [], "managers": []}
+
+    class RecordingPlane(SLOPlane):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["planes"].append(self)
+
+    real_demo_cluster = repro.cli._demo_cluster
+
+    def demo_cluster(*args, **kwargs):
+        manager, cluster_vms = real_demo_cluster(*args, **kwargs)
+        seen["managers"].append(manager)
+        return manager, cluster_vms
+
+    monkeypatch.setattr(repro.obs.slo, "SLOPlane", RecordingPlane)
+    monkeypatch.setattr(repro.cli, "_demo_cluster", demo_cluster)
+    return seen
+
+
+def assert_plane_sees_every_meter(seen):
+    """Each node's revenue / SLA-credit counter in the plane equals the
+    sum of that node's metered ticks, in tick order."""
+    (plane,) = seen["planes"]
+    (manager,) = seen["managers"]
+    revenue_seen = 0.0
+    for node_id, ctrl in sorted(manager.controllers.items()):
+        meter = ctrl.billing.meter
+        for series, per_tick in ((S_REVENUE_USD, meter.tick_revenue),
+                                 (S_CREDITS_USD, meter.tick_credits)):
+            expected = 0.0
+            for tick in sorted(per_tick):
+                expected += per_tick[tick]
+            assert plane.store.get(series, {"node": node_id}).last == expected
+        revenue_seen += plane.store.get(S_REVENUE_USD, {"node": node_id}).last
+    assert revenue_seen > 0.0
 
 
 class TestSloEval:
@@ -62,6 +109,13 @@ class TestSloWatch:
         assert "budget left" in out
         assert "alert ledger:" in out
         assert (out_dir / "alerts.jsonl").exists()
+
+    def test_plane_sees_each_nodes_meter_totals(self, cluster_capture, capsys):
+        rc = main(["slo", "watch", "--nodes", "2", "--vms", "2",
+                   "--ticks", "6", "--every", "6", "--seed", "42"])
+        capsys.readouterr()
+        assert rc == 0
+        assert_plane_sees_every_meter(cluster_capture)
 
 
 def _write_ledger(out_dir):
@@ -128,3 +182,12 @@ class TestServeMetricsComposition:
         assert rc == 0
         assert "self-test ok" in out
         assert self._families(out) > 17
+
+    def test_cluster_plane_sees_each_nodes_meter_totals(
+        self, cluster_capture, capsys
+    ):
+        rc = main(["serve-metrics", "--self-test", "--cluster", "2",
+                   "--ticks", "6"])
+        capsys.readouterr()
+        assert rc == 0
+        assert_plane_sees_every_meter(cluster_capture)

@@ -73,9 +73,9 @@ def test_reports_identical_with_and_without_plane(engine):
 def test_config_attached_plane_is_wired_and_transparent():
     from repro.obs import ObsConfig
 
-    bare, _ = run("vectorized", attach_plane=False)
+    bare, _ = run("bulk", attach_plane=False)
     config = ControllerConfig.paper_evaluation(
-        engine="vectorized",
+        engine="bulk",
         observability=ObsConfig(slo=SLOConfig()),
     )
     node, hv, ctrl = make_host(config=config)
@@ -128,7 +128,7 @@ class TestAlertDeterminism:
     """Seed 0's fuzz trace (fault plan included) produces real alert
     traffic; the stream must be reproducible byte for byte."""
 
-    ENGINES_UNDER_TEST = ("scalar", "vectorized", "bulk")
+    ENGINES_UNDER_TEST = ("scalar", "bulk")
 
     @pytest.fixture(scope="class")
     def fuzz_run(self):
@@ -143,20 +143,19 @@ class TestAlertDeterminism:
     def test_streams_identical_across_engines(self, fuzz_run):
         _, (_, planes) = fuzz_run
         streams = {e: _stream(p) for e, p in planes.items()}
-        assert streams["vectorized"] == streams["scalar"]
         assert streams["bulk"] == streams["scalar"]
 
     def test_replaying_twice_is_byte_identical(self, fuzz_run):
         trace, (_, first) = fuzz_run
-        _, second = _replay_with_plane(trace, ("vectorized",))
-        assert _stream(second["vectorized"]) == _stream(first["vectorized"])
+        _, second = _replay_with_plane(trace, ("bulk",))
+        assert _stream(second["bulk"]) == _stream(first["bulk"])
 
     def test_attached_replay_reports_match_detached(self, fuzz_run):
         trace, (attached, _) = fuzz_run
-        detached = replay(trace, engines=("vectorized",),
+        detached = replay(trace, engines=("bulk",),
                           stop_at_first=False, collect_reports=True)
-        pairs = zip(attached.reports["vectorized"],
-                    detached.reports["vectorized"])
+        pairs = zip(attached.reports["bulk"],
+                    detached.reports["bulk"])
         for tick, (a, b) in enumerate(pairs, 1):
             assert _compare_reports(
                 a, b, ("slo", "bare"), float(tick)

@@ -34,7 +34,7 @@ def run(engine, attach_obs):
     return ctrl, obs
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+@pytest.mark.parametrize("engine", ["scalar", "bulk"])
 def test_reports_identical_with_and_without_hub(engine):
     bare, _ = run(engine, attach_obs=False)
     hubbed, obs = run(engine, attach_obs=True)
@@ -51,9 +51,9 @@ def test_reports_identical_with_and_without_hub(engine):
 
 
 def test_config_attached_hub_is_also_transparent():
-    bare, _ = run("vectorized", attach_obs=False)
+    bare, _ = run("bulk", attach_obs=False)
     config = ControllerConfig.paper_evaluation(
-        engine="vectorized", observability=ObsConfig()
+        engine="bulk", observability=ObsConfig()
     )
     node, hv, ctrl = make_host(config=config)
     assert ctrl.obs is not None  # declarative wiring worked

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from tests.conftest import TINY
 
 #: Engine axis: every whole-loop property must hold on both hot paths.
-engines = st.sampled_from(("scalar", "vectorized"))
+engines = st.sampled_from(("scalar", "bulk"))
 
 #: One vCPU's demand as a fraction of a core.
 levels = st.floats(0.0, 1.0, allow_nan=False)
