@@ -67,11 +67,13 @@ bench-perf-smoke:
 
 # quick bulk-engine + control-plane bench: both engines, stage 4 with
 # funded wallets, then the serial in-process NodeManager vs the
-# shm-sharded ShardedNodeManager (CI gates: scalar/bulk report and
-# auction bit-identity, serial/shm allocations identical per node, the
-# bulk full tick, per-stage and stage-4 costs — stages 1 and 6
-# included — within tolerance of the committed baseline, and the
-# dense-host single-process tick inside one 1 s control period)
+# shm-sharded ShardedNodeManager, then one simulated host sub-step on
+# a 2-VM and a 24-vCPU host (CI gates: scalar/bulk report and auction
+# bit-identity, serial/shm allocations identical per node, compiled
+# node step identical to the CfsScheduler oracle, the bulk full tick,
+# per-stage, stage-4 and node-step costs — stages 1 and 6 included —
+# within tolerance of the committed baseline, and the dense-host
+# single-process tick inside one 1 s control period)
 bench-bulk-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_bulk.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py

@@ -13,19 +13,27 @@ Four measurements back the bulk-array backend API (docs/api.md):
    period" requirement (§III-B2) pushed to cloud-host density;
 4. the node-scaling curve of the serial in-process ``NodeManager``
    versus the process-sharded ``ShardedNodeManager`` (shared-memory
-   telemetry) driving the same cluster.
+   telemetry) driving the same cluster;
+5. one simulated host sub-step (``Node.step``, the compiled topology)
+   at the 528-vCPU ``host-dense`` shape, or a 2-VM and a 24-vCPU host
+   under ``BENCH_SMOKE=1``, with the recursive ``CfsScheduler`` oracle's
+   own cost recorded beside it as an ungated reference.
 
 All numbers land in ``benchmarks/results/BENCH_controller.json``
-(sections ``bulk``/``auction``/``tick10k``/``sharded``, ``*_smoke``
-variants under ``BENCH_SMOKE=1``) and are gated against the committed
-repo-root baseline by ``check_perf_regression.py``.
+(sections ``bulk``/``auction``/``tick10k``/``sharded``/``sim_step``,
+``*_smoke`` variants under ``BENCH_SMOKE=1``) and are gated against the
+committed repo-root baseline by ``check_perf_regression.py``.
 """
 
+import copy
 import functools
 import json
 import os
+import platform
 import time
 from statistics import median
+
+import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
@@ -34,7 +42,7 @@ from repro.hw.nodespecs import NodeSpec
 from repro.sim.node_manager import NodeManager, Shard, ShardedNodeManager
 from repro.sim.report import render_table
 from repro.virt.hypervisor import Hypervisor
-from repro.virt.template import VMTemplate
+from repro.virt.template import LARGE, MEDIUM, SMALL, VMTemplate
 
 from bench_scaling import _controller_host, _dense_vms, _stage25
 from conftest import emit, results_path
@@ -456,5 +464,138 @@ def test_sharded_node_scaling(once):
                 for n, row in curve.items()
             ],
             title=f"control-plane scaling at {VMS_PER_NODE} VMs/node",
+        )
+    )
+
+
+# -- 5. one simulated host sub-step ------------------------------------------------
+
+SIM_SUBSTEPS = 20 if PERF_SMOKE else 40
+SIM_DT = 0.5
+
+
+def _sim_spec(cores):
+    return NodeSpec(
+        name=f"sim{cores}",
+        cpu_model=f"{cores}-core SMT host",
+        sockets=1,
+        cores_per_socket=cores,
+        threads_per_core=2,
+        fmax_mhz=2400.0,
+        fmin_mhz=1200.0,
+        memory_mb=1024 * 1024,
+        freq_jitter_mhz=25.0,
+    )
+
+
+#: name -> (physical cores, [(template, count)])
+SIM_SHAPES = (
+    {
+        "two_vm": (2, [(SMALL, 2)]),
+        "vcpu24": (16, [(SMALL, 4), (MEDIUM, 2), (LARGE, 2)]),
+    }
+    if PERF_SMOKE
+    # host-dense: 97% of Eq. 7 capacity in the paper's 5:1:2 mix
+    else {"host_dense": (128, [(SMALL, 120), (MEDIUM, 24), (LARGE, 48)])}
+)
+
+
+def _sim_host(cores, mix, seed=5):
+    """A host whose vCPUs run capped at their Eq. 2 guarantee (what the
+    controller converges to) with seeded demands around it."""
+    node = Node(_sim_spec(cores), seed=seed)
+    hv = Hypervisor(node)
+    k = 0
+    for template, count in mix:
+        for _ in range(count):
+            vm = hv.provision(template, f"vm{k}")
+            k += 1
+            quota = int(template.vfreq_mhz / node.spec.fmax_mhz * 100_000)
+            for vcpu in vm.vcpus:
+                node.fs.write(f"{vcpu.cgroup_path}/cpu.max", f"{quota} 100000")
+    return node
+
+
+def _set_sim_demands(node, rng):
+    for ent in node.entities:
+        ent.demand = 1.0 if rng.random() < 0.4 else float(rng.random())
+
+
+def _time_substeps(node, step):
+    rng = np.random.default_rng(11)
+    walls = []
+    for i in range(SIM_SUBSTEPS + 3):
+        _set_sim_demands(node, rng)
+        t0 = time.perf_counter()
+        step(node)
+        if i >= 3:  # the first steps build the topology and warm caches
+            walls.append(time.perf_counter() - t0)
+    return median(walls)
+
+
+def test_sim_node_step(once):
+    """Compiled ``Node.step`` per sub-step, gated; the oracle scheduler's
+    own cost beside it, ungated.  One step on clones must agree exactly
+    first — the speedup may not come from computing something else."""
+
+    def run():
+        out = {}
+        for name, (cores, mix) in SIM_SHAPES.items():
+            node = _sim_host(cores, mix)
+            oracle = copy.deepcopy(node)
+            rng = np.random.default_rng(3)
+            _set_sim_demands(node, rng)
+            for ent, twin in zip(node.entities, oracle.entities):
+                twin.demand = ent.demand
+            node.step(SIM_DT)
+            oracle.scheduler.schedule(oracle.entities, SIM_DT)
+            assert [e.allocated for e in node.entities] == [
+                e.allocated for e in oracle.entities
+            ], f"{name}: compiled step diverged from the oracle"
+            topo = node.topology()
+            cpus = node.spec.logical_cpus
+            out[name] = {
+                "vcpus": len(node.entities),
+                "cgroups": topo.num_groups,
+                "substeps": SIM_SUBSTEPS,
+                "node_step_seconds_per_tick": _time_substeps(
+                    node, lambda n: n.step(SIM_DT)
+                ),
+                # the scheduler alone, compiled and recursive (ungated)
+                "schedule_seconds": _time_substeps(
+                    node, lambda n: topo.schedule(topo.demands(), SIM_DT, cpus)
+                ),
+                "oracle_schedule_seconds": _time_substeps(
+                    oracle, lambda n: n.scheduler.schedule(n.entities, SIM_DT)
+                ),
+            }
+        return out
+
+    shapes = once(run)
+    _merge_section("sim_step", {
+        "env": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "dt_s": SIM_DT,
+        "hosts": shapes,
+    })
+
+    emit(
+        render_table(
+            ["host", "vCPUs", "cgroups", "Node.step / sub-step", "schedule", "oracle schedule"],
+            [
+                [
+                    name,
+                    row["vcpus"],
+                    row["cgroups"],
+                    f"{row['node_step_seconds_per_tick'] * 1e3:.3f} ms",
+                    f"{row['schedule_seconds'] * 1e3:.3f} ms",
+                    f"{row['oracle_schedule_seconds'] * 1e3:.3f} ms",
+                ]
+                for name, row in shapes.items()
+            ],
+            title="simulated host sub-step: compiled topology vs recursive oracle",
         )
     )

@@ -15,6 +15,21 @@ from repro.cgroups.cpu import CpuController
 _NAME_FORBIDDEN = set("/\x00")
 
 
+class TreeGeneration:
+    """Counter shared by every node of one cgroup tree.
+
+    Each structural change — a child added or removed, a thread attached
+    or detached — bumps it, whichever object the call came through, so a
+    cache of the tree's shape (``repro.sched.topology``) can tell it is
+    stale with one integer compare.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class CgroupNode:
     """One cgroup directory: children, member threads, CPU controller."""
 
@@ -27,8 +42,14 @@ class CgroupNode:
         self.children: Dict[str, CgroupNode] = {}
         self.threads: List[int] = []
         self.cpu = CpuController()
+        self._generation = parent._generation if parent is not None else TreeGeneration()
 
     # -- tree structure ---------------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """Structural changes made anywhere in this node's tree so far."""
+        return self._generation.value
 
     @property
     def path(self) -> str:
@@ -43,6 +64,7 @@ class CgroupNode:
             raise FileExistsError(f"cgroup already exists: {self.path}/{name}")
         child = CgroupNode(name, parent=self)
         self.children[name] = child
+        self._generation.value += 1
         return child
 
     def remove_child(self, name: str) -> None:
@@ -54,6 +76,7 @@ class CgroupNode:
         if child.threads:
             raise OSError(f"cgroup still has threads: {child.path}")
         del self.children[name]
+        self._generation.value += 1
 
     def walk(self) -> Iterator["CgroupNode"]:
         """Depth-first iteration over this node and all descendants."""
@@ -79,12 +102,14 @@ class CgroupNode:
         if tid in self.threads:
             raise ValueError(f"tid {tid} already in cgroup {self.path}")
         self.threads.append(tid)
+        self._generation.value += 1
 
     def detach_thread(self, tid: int) -> None:
         try:
             self.threads.remove(tid)
         except ValueError:
             raise ValueError(f"tid {tid} not in cgroup {self.path}") from None
+        self._generation.value += 1
 
     def all_threads(self) -> List[int]:
         """All tids in this subtree (the v1 hierarchical view)."""

@@ -48,18 +48,22 @@ class ProcFS:
     def __init__(self) -> None:
         self._stats: Dict[int, ThreadStat] = {}
         self._next_tid = 1000
+        #: Threads spawned or killed so far (invalidates cached handles).
+        self.generation = 0
 
     def spawn(self, comm: str, processor: int = 0) -> int:
         """Create a thread and return its tid."""
         tid = self._next_tid
         self._next_tid += 1
         self._stats[tid] = ThreadStat(tid=tid, comm=comm, processor=processor)
+        self.generation += 1
         return tid
 
     def kill(self, tid: int) -> None:
         if tid not in self._stats:
             raise ProcessLookupError(f"no such thread: {tid}")
         del self._stats[tid]
+        self.generation += 1
 
     def exists(self, tid: int) -> bool:
         return tid in self._stats

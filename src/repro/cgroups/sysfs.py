@@ -9,14 +9,16 @@ cpufreq sysfs has always been kHz; the conversion lives in one place in
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 class CpuFreqSysFS:
     """Read-only view over per-core frequencies maintained by the HW model."""
 
     def __init__(self, freqs_khz: Sequence[float], min_khz: float, max_khz: float) -> None:
-        self._freqs_khz: List[float] = list(freqs_khz)
+        self._freqs_khz = np.array(freqs_khz, dtype=np.float64)
         self.min_khz = min_khz
         self.max_khz = max_khz
 
@@ -28,7 +30,7 @@ class CpuFreqSysFS:
         """Called by the hardware model each step with fresh frequencies."""
         if len(freqs_khz) != len(self._freqs_khz):
             raise ValueError("core count changed")
-        self._freqs_khz = list(freqs_khz)
+        self._freqs_khz = np.array(freqs_khz, dtype=np.float64)
 
     def read(self, path: str) -> str:
         """Read a sysfs path such as
@@ -46,6 +48,10 @@ class CpuFreqSysFS:
         """Current frequency of ``core`` in kHz (rounded, as the kernel does)."""
         self._check(core)
         return int(round(self._freqs_khz[core]))
+
+    def scaling_cur_freqs(self) -> np.ndarray:
+        """Every core's :meth:`scaling_cur_freq`, as one float array."""
+        return np.rint(self._freqs_khz)
 
     def _read_core_file(self, core: int, fname: str) -> str:
         self._check(core)

@@ -745,6 +745,14 @@ def _cmd_check_replay(args) -> int:
     return 0 if result.ok else 1
 
 
+def _note_torn(path: str, entries) -> None:
+    """Say on stderr when a ledger's torn last line (a crash mid-write)
+    was dropped, so the explanation is known to end one record early."""
+    if entries.dropped:
+        print(f"explain: dropped {entries.dropped} torn final line(s) of {path}",
+              file=sys.stderr)
+
+
 def _cmd_explain(args) -> int:
     import os
 
@@ -762,6 +770,7 @@ def _cmd_explain(args) -> int:
             print(f"explain: no alert ledger at {path}", file=sys.stderr)
             return 2
         entries = load_alerts_jsonl(path)
+        _note_torn(path, entries)
         try:
             print(explain_alert_from_entries(entries, args.alert, args.index))
         except KeyError as exc:
@@ -786,6 +795,7 @@ def _cmd_explain(args) -> int:
             print(f"explain: no rebalance ledger at {path}", file=sys.stderr)
             return 2
         entries = load_rebalance_jsonl(path)
+        _note_torn(path, entries)
         try:
             print(explain_move_from_entries(entries, args.move, args.round))
         except KeyError as exc:
@@ -810,6 +820,7 @@ def _cmd_explain(args) -> int:
         print(f"explain: no ledger at {path}", file=sys.stderr)
         return 2
     entries = load_jsonl(path)
+    _note_torn(path, entries)
     try:
         print(explain_from_entries(entries, args.vm, args.vcpu, args.tick))
     except KeyError as exc:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CacheContentionModel:
@@ -41,8 +43,9 @@ class CacheContentionModel:
         pressure = max(0.0, runnable_threads / self.physical_cores - 1.0)
         return 1.0 / (1.0 + self.alpha * pressure)
 
-    def effective_mhz(self, freq_mhz: float, runnable_threads: int) -> float:
-        """Work-rate a thread achieves at ``freq_mhz`` under contention."""
-        if freq_mhz < 0:
+    def effective_mhz(self, freq_mhz, runnable_threads: int):
+        """Work-rate a thread achieves at ``freq_mhz`` (a float or an
+        array of them) under contention."""
+        if np.min(freq_mhz) < 0:
             raise ValueError("negative frequency")
         return freq_mhz * self.slowdown(runnable_threads)

@@ -71,17 +71,21 @@ class DvfsModel:
             raise ValueError(
                 f"expected {self.num_cpus} utilisations, got shape {util.shape}"
             )
-        if np.any(util < -1e-9) or np.any(util > 1.0 + 1e-9):
+        if np.minimum.reduce(util) < -1e-9 or np.maximum.reduce(util) > 1.0 + 1e-9:
             raise ValueError("core utilisation must be within [0, 1]")
-        util = np.clip(util, 0.0, 1.0)
+        # np.minimum/np.maximum rather than np.clip: the same values
+        # without clip's Python-level dispatch, which dominates at the
+        # few-core sizes of a small host.
+        util = np.minimum(np.maximum(util, 0.0), 1.0)
         if self.domain_size > 1:
             # Cores in one DVFS domain share a clock; the governor picks
             # the domain frequency for its *hottest* core (as Zen does
             # per CCX), so a single busy core drags its siblings up.
             domains = util.reshape(-1, self.domain_size)
             util = np.repeat(domains.max(axis=1), self.domain_size)
-        target = np.clip(
-            GOVERNOR_HEADROOM * self.fmax_mhz * util, self.fmin_mhz, self.fmax_mhz
+        target = np.minimum(
+            np.maximum(GOVERNOR_HEADROOM * self.fmax_mhz * util, self.fmin_mhz),
+            self.fmax_mhz,
         )
         alpha = 1.0 - np.exp(-TRACKING_RATE * dt)
         self._freqs += alpha * (target - self._freqs)
@@ -90,15 +94,16 @@ class DvfsModel:
             noise = np.repeat(
                 self._rng.normal(0.0, self.jitter_mhz, n_domains), self.domain_size
             )
-            self._freqs = np.clip(
-                self._freqs + noise * np.sqrt(min(dt, 1.0)),
-                self.fmin_mhz,
+            self._freqs = np.minimum(
+                np.maximum(self._freqs + noise * np.sqrt(min(dt, 1.0)), self.fmin_mhz),
                 self.fmax_mhz,
             )
         return self.freqs_mhz
 
     def mean_mhz(self) -> float:
-        return float(self._freqs.mean())
+        # np.mean's own arithmetic (one add-reduce, one divide), minus
+        # its Python-level dispatch.
+        return float(np.add.reduce(self._freqs) / self.num_cpus)
 
     def std_mhz(self) -> float:
         """Cross-core frequency spread (the paper's 'average variance')."""

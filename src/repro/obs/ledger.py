@@ -40,6 +40,8 @@ import json
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.jsonl import JsonlRecords, read_jsonl
+
 
 def recompute_allocation(decision: Dict, p_us: float) -> float:
     """Re-derive the enforced cycles from the recorded causal chain.
@@ -85,17 +87,10 @@ class DecisionLedger:
             self._fh.close()
 
 
-def load_jsonl(path: str) -> List[Dict]:
-    """Load ledger tick entries back from a JSONL file."""
-    out: List[Dict] = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") == "tick":
-                out.append(entry)
-    return out
+def load_jsonl(path: str) -> JsonlRecords:
+    """Load ledger tick entries back from a JSONL file (a torn last line
+    is dropped and counted in ``.dropped``)."""
+    return read_jsonl(path, kind="tick")
 
 
 def lookup(

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.anomaly import AnomalyConfig, EwmaDetector
+from repro.obs.jsonl import JsonlRecords, read_jsonl
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
     S_CREDITS_USD,
@@ -233,17 +234,10 @@ class AlertLedger:
             self._fh.close()
 
 
-def load_alerts_jsonl(path: str) -> List[Dict]:
-    """Load alert transitions back from a JSONL mirror."""
-    out: List[Dict] = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") == "alert":
-                out.append(entry)
-    return out
+def load_alerts_jsonl(path: str) -> JsonlRecords:
+    """Load alert transitions back from a JSONL mirror (a torn last line
+    is dropped and counted in ``.dropped``)."""
+    return read_jsonl(path, kind="alert")
 
 
 class SLOPlane:

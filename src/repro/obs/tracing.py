@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.obs.jsonl import JsonlRecords, read_jsonl
+
 #: Histogram bucket upper bounds, seconds (log-spaced around the
 #: paper's ~ms-scale stage costs, §IV-A2).
 BUCKET_BOUNDS = (
@@ -263,15 +265,13 @@ def write_chrome_trace(spans: Iterable[Span], path: str) -> str:
     return path
 
 
-def spans_from_jsonl(path: str) -> List[Span]:
-    """Load spans back from a :class:`JsonlSink` file."""
-    out: List[Span] = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(Span(
+def spans_from_jsonl(path: str) -> JsonlRecords:
+    """Load spans back from a :class:`JsonlSink` file (a torn last line
+    is dropped and counted in ``.dropped``)."""
+    raw = read_jsonl(path)
+    return JsonlRecords(
+        (
+            Span(
                 name=d["name"],
                 trace_id=int(d["trace_id"]),
                 span_id=int(d["span_id"]),
@@ -279,5 +279,8 @@ def spans_from_jsonl(path: str) -> List[Span]:
                 start_us=float(d["start_us"]),
                 duration_us=float(d["duration_us"]),
                 attrs=d.get("attrs", {}),
-            ))
-    return out
+            )
+            for d in raw
+        ),
+        raw.dropped,
+    )

@@ -18,6 +18,8 @@ import json
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.jsonl import JsonlRecords, read_jsonl
+
 _VICTIM_RULES = {
     "pressure": "smallest VM covering the Eq. 7 deficit, else largest",
     "drain": "evacuate all, largest guarantee first",
@@ -54,17 +56,10 @@ class RebalanceLedger:
             self._fh.close()
 
 
-def load_rebalance_jsonl(path: str) -> List[Dict]:
-    """Load round entries back from a JSONL mirror file."""
-    out: List[Dict] = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") == "round":
-                out.append(entry)
-    return out
+def load_rebalance_jsonl(path: str) -> JsonlRecords:
+    """Load round entries back from a JSONL mirror file (a torn last
+    line is dropped and counted in ``.dropped``)."""
+    return read_jsonl(path, kind="round")
 
 
 def lookup_move(

@@ -170,6 +170,11 @@ class MigrationPlanner:
         rng = random.Random(seed)
         self._rank = {node_id: rng.random() for node_id in sorted(state.nodes)}
         self._node_moves: Dict[str, int] = {}
+        #: VMs already in this round's plan: no later pass may move one
+        #: again (the admissibility oracle rejects a double move).  Only
+        #: consolidation can meet one: pressure targets carry no deficit
+        #: when picked and drain never targets a drained node.
+        self._planned: set = set()
         if vectorized:
             self._slot_of: Optional[Dict[str, int]] = state.node_index
             self._rank_arr: Optional[np.ndarray] = np.asarray(
@@ -256,6 +261,11 @@ class MigrationPlanner:
             if self._exhausted(plan):
                 return
             vms = state.movable_vms_on(node.node_id)
+            if any(vm.name in self._planned for vm in vms):
+                # It received a VM this round: emptying it would move
+                # that VM twice.
+                plan._skip("consolidate_planned_vm")
+                continue
             if not vms or len(vms) != node.num_vms:
                 plan._skip("consolidate_pinned_vm")
                 continue
@@ -433,6 +443,7 @@ class MigrationPlanner:
             )
         )
         plan.considered += 1
+        self._planned.add(vm.name)
         self._node_moves[source] = self._node_moves.get(source, 0) + 1
         self._node_moves[target] = self._node_moves.get(target, 0) + 1
         if self._moves_arr is not None:

@@ -12,6 +12,7 @@ RNG.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -50,7 +51,8 @@ class AffinityModel:
 
         ``utilisations`` are per-thread fractions of one core consumed in
         the elapsed tick.  Migration probabilities are scaled by ``dt`` so
-        the model is tick-size independent.
+        the model is tick-size independent.  This per-thread loop is the
+        reference for :meth:`place`, which the node step runs.
         """
         if len(tids) != len(utilisations):
             raise ValueError("tids and utilisations length mismatch")
@@ -66,6 +68,25 @@ class AffinityModel:
             cores.append(self._placement[tid])
         return cores
 
+    def place(self, tids: Sequence[int], util: np.ndarray, dt: float) -> np.ndarray:
+        """:meth:`step` on arrays: the same draws and placements, with
+        the cores returned as an integer array."""
+        busy = util >= BUSY_THRESHOLD
+        p_move = np.where(busy, BUSY_MIGRATION_P, IDLE_MIGRATION_P) * min(dt, 1.0)
+        moves = self._rng.random(len(tids)) < p_move
+        targets = self._rng.integers(self.num_cpus, size=len(tids))
+        prev = np.fromiter(
+            map(self._placement.get, tids, repeat(-1)), dtype=np.int64, count=len(tids)
+        )
+        cores = np.where(moves | (prev < 0), targets, prev)
+        self._placement.update(zip(tids, cores.tolist()))
+        return cores
+
+    def load_from_cores(self, cores: np.ndarray, util: np.ndarray) -> np.ndarray:
+        """:meth:`load_per_core` for threads already placed on ``cores``."""
+        load = np.bincount(cores, util, minlength=self.num_cpus)
+        return self._balance(load)
+
     def load_per_core(self, tids: Sequence[int], utilisations: Sequence[float]) -> np.ndarray:
         """Aggregate thread utilisation onto cores (for the DVFS model).
 
@@ -77,11 +98,17 @@ class AffinityModel:
         load = np.zeros(self.num_cpus)
         for tid, util in zip(tids, utilisations):
             load[self.core_of(tid)] += util
+        return self._balance(load)
+
+    @staticmethod
+    def _balance(load: np.ndarray) -> np.ndarray:
         # Kernel load balancing: shave overload above 1.0 and spread it.
-        overflow = np.clip(load - 1.0, 0.0, None).sum()
-        load = np.clip(load, 0.0, 1.0)
+        # (np.maximum/np.minimum and add-reduce are np.clip and .sum()
+        # without their Python-level dispatch.)
+        overflow = np.add.reduce(np.maximum(load - 1.0, 0.0))
+        load = np.minimum(np.maximum(load, 0.0), 1.0)
         headroom = 1.0 - load
-        total_headroom = headroom.sum()
+        total_headroom = np.add.reduce(headroom)
         if overflow > 0 and total_headroom > 0:
             load += headroom * min(1.0, overflow / total_headroom)
         return load

@@ -33,6 +33,7 @@ from repro.placement.migration import (
     ThresholdMigrationPolicy,
 )
 from repro.placement.request import PlacementRequest
+from repro.sim.engine import VcpuGather
 from repro.sim.node_manager import NodeManager
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.vm import VMInstance
@@ -50,6 +51,8 @@ class NodeRuntime:
     hypervisor: Hypervisor
     controller: Optional[VirtualFrequencyController]
     powered_on: bool = True
+    #: The harness's per-vCPU gather into this node's step arrays.
+    gather: Optional[VcpuGather] = field(default=None, repr=False, compare=False)
 
     @property
     def node_id(self) -> str:
@@ -222,17 +225,8 @@ class ClusterSimulation:
 
     def _absorb_progress(self) -> None:
         for runtime in self._active():
-            node = runtime.node
-            for vm in runtime.hypervisor.vms:
-                workload = vm.workload
-                if workload is None:
-                    continue
-                for vcpu in vm.vcpus:
-                    core = node.last_core_of(vcpu.tid)
-                    freq = node.effective_mhz(node.core_frequency_mhz(core))
-                    workload.advance(
-                        vcpu.index, self.t, self.dt, vcpu.entity.allocated, freq
-                    )
+            runtime.gather = VcpuGather.of(runtime.gather, runtime.node, runtime.hypervisor)
+            runtime.gather.absorb(runtime.node, self.t, self.dt)
 
     # -- migrations -------------------------------------------------------------------
 

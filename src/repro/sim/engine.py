@@ -26,6 +26,67 @@ from repro.virt.hypervisor import Hypervisor
 from repro.virt.vm import VMInstance
 
 
+class VcpuGather:
+    """Where each hosted vCPU sits in its node's per-thread step arrays.
+
+    The harness reads every vCPU's grant and core frequency as one
+    gather instead of a procfs and a sysfs call per vCPU.  A gather is
+    valid for one node topology: provisioning or destroying a VM
+    re-registers entities, which gives the node a new topology, and
+    :meth:`of` then builds a new gather.
+    """
+
+    def __init__(self, node: Node, hypervisor: Hypervisor) -> None:
+        self.topology = node.topology()
+        self.vms = hypervisor.vms
+        tids = [vcpu.tid for vm in self.vms for vcpu in vm.vcpus]
+        self.slots = node.thread_slots(tids)
+        # VMs grouped by vCPU count: a row-wise reduction per group sums
+        # each VM in np.mean's own order (np.add.reduceat does not).
+        offsets: Dict[int, List[List[int]]] = {}
+        rows: Dict[int, List[int]] = {}
+        k = 0
+        for pos, vm in enumerate(self.vms):
+            n = len(vm.vcpus)
+            offsets.setdefault(n, []).append(list(range(k, k + n)))
+            rows.setdefault(n, []).append(pos)
+            k += n
+        self._groups = [
+            (n, np.asarray(rows[n], dtype=np.intp), np.asarray(offsets[n], dtype=np.intp))
+            for n in offsets
+        ]
+
+    @classmethod
+    def of(cls, cached: "Optional[VcpuGather]", node: Node, hypervisor: Hypervisor) -> "VcpuGather":
+        """``cached`` while the node's topology is unchanged, else a new gather."""
+        if cached is not None and cached.topology is node.topology():
+            return cached
+        return cls(node, hypervisor)
+
+    def core_mhz(self, node: Node) -> np.ndarray:
+        """Per-vCPU frequency of the core it last ran on (controller view)."""
+        return node.thread_core_mhz()[self.slots]
+
+    def absorb(self, node: Node, t: float, dt: float) -> None:
+        """Feed every workload its vCPUs' grants at their cores' speed."""
+        freqs = node.effective_mhz(self.core_mhz(node)).tolist()
+        k = 0
+        for vm in self.vms:
+            n = len(vm.vcpus)
+            workload = vm.workload
+            if workload is not None:
+                for vcpu, freq in zip(vm.vcpus, freqs[k : k + n]):
+                    workload.advance(vcpu.index, t, dt, vcpu.entity.allocated, freq)
+            k += n
+
+    def vm_means(self, values: np.ndarray) -> List[float]:
+        """Per-VM ``np.mean`` of per-vCPU ``values``, in VM order."""
+        means = np.empty(len(self.vms))
+        for n, rows, offsets in self._groups:
+            means[rows] = np.add.reduce(values[offsets], axis=1) / n
+        return means.tolist()
+
+
 class Simulation:
     """One node, its VMs/workloads, and (optionally) the controller."""
 
@@ -56,6 +117,7 @@ class Simulation:
         self.metrics = metrics or MetricsRecorder()
         self.t = 0.0
         self._subticks = 0
+        self._gather: Optional[VcpuGather] = None
 
     # -- main loop -----------------------------------------------------------------
 
@@ -105,30 +167,23 @@ class Simulation:
             for vcpu in vm.vcpus:
                 vcpu.set_demand(float(workload.demand(vcpu.index, self.t)))
 
+    def _vcpus(self) -> VcpuGather:
+        self._gather = VcpuGather.of(self._gather, self.node, self.hypervisor)
+        return self._gather
+
     def _absorb_progress(self) -> None:
-        for vm in self.hypervisor.vms:
-            workload = vm.workload
-            if workload is None:
-                continue
-            for vcpu in vm.vcpus:
-                core = self.node.last_core_of(vcpu.tid)
-                freq = self.node.effective_mhz(self.node.core_frequency_mhz(core))
-                workload.advance(
-                    vcpu.index, self.t, self.dt, vcpu.entity.allocated, freq
-                )
+        self._vcpus().absorb(self.node, self.t, self.dt)
 
     def _record_actuals(self) -> None:
         node = self.node
-        for vm in self.hypervisor.vms:
-            freqs: List[float] = []
-            for vcpu in vm.vcpus:
-                core = node.last_core_of(vcpu.tid)
-                share = vcpu.entity.allocated / self.dt
-                freqs.append(share * node.core_frequency_mhz(core))
-            self.metrics.record_vfreq_actual(self.t, vm.name, float(np.mean(freqs)))
+        gather = self._vcpus()
+        alloc = node.thread_allocated
+        share_mhz = alloc[gather.slots] / self.dt * gather.core_mhz(node)
+        for vm, vfreq in zip(gather.vms, gather.vm_means(share_mhz)):
+            self.metrics.record_vfreq_actual(self.t, vm.name, vfreq)
         self.metrics.core_freq_mean.append(self.t, node.dvfs.mean_mhz())
         self.metrics.core_freq_std.append(self.t, node.dvfs.std_mhz())
-        total_alloc = sum(e.allocated for e in node.entities)
+        total_alloc = sum(alloc.tolist())
         self.metrics.node_utilisation.append(
             self.t, total_alloc / (node.spec.logical_cpus * self.dt)
         )

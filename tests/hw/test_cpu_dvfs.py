@@ -137,3 +137,35 @@ class TestValidation:
         m = make()
         with pytest.raises(ValueError):
             m.freqs_mhz[0] = 0.0
+
+
+def clip_reference_step(m: DvfsModel, util, dt: float) -> np.ndarray:
+    """``DvfsModel.step`` as first written, with ``np.clip``: the model
+    now spells the clamps with np.minimum/np.maximum and must agree."""
+    from repro.hw.cpu import GOVERNOR_HEADROOM, TRACKING_RATE
+
+    util = np.clip(np.asarray(util, dtype=np.float64), 0.0, 1.0)
+    if m.domain_size > 1:
+        util = np.repeat(util.reshape(-1, m.domain_size).max(axis=1), m.domain_size)
+    target = np.clip(GOVERNOR_HEADROOM * m.fmax_mhz * util, m.fmin_mhz, m.fmax_mhz)
+    m._freqs += (1.0 - np.exp(-TRACKING_RATE * dt)) * (target - m._freqs)
+    if m.jitter_mhz > 0:
+        noise = np.repeat(
+            m._rng.normal(0.0, m.jitter_mhz, m.num_cpus // m.domain_size), m.domain_size
+        )
+        m._freqs = np.clip(m._freqs + noise * np.sqrt(min(dt, 1.0)), m.fmin_mhz, m.fmax_mhz)
+    return m._freqs
+
+
+class TestMatchesClipReference:
+    @pytest.mark.parametrize("jitter,domain", [(0.0, 1), (30.0, 1), (30.0, 4)])
+    def test_bit_identical(self, jitter, domain):
+        a = DvfsModel(8, 2400.0, 1200.0, jitter_mhz=jitter, seed=5, domain_size=domain)
+        b = DvfsModel(8, 2400.0, 1200.0, jitter_mhz=jitter, seed=5, domain_size=domain)
+        rng = np.random.default_rng(1)
+        for dt in (0.5, 1.0, 0.1, 2.0) * 5:
+            util = rng.random(8) * rng.choice([0.0, 0.3, 1.0])
+            a.step(util, dt)
+            clip_reference_step(b, util, dt)
+            assert a.freqs_mhz.tobytes() == b._freqs.tobytes()
+            assert a.mean_mhz() == float(np.mean(b._freqs))

@@ -202,3 +202,38 @@ class TestScenarioBuilders:
     def test_static_build_has_no_loop(self):
         _, loop = chaos_churn_small(rebalance=False).build()
         assert loop is None
+
+
+class TestFleetPlansPassTheOracle:
+    def test_seed44_fleet_rounds_are_never_rejected(self):
+        """The 1000-node fleet, seed 44, over the horizon the repository
+        benchmark runs: its ninth round used to plan one VM twice (a
+        pressure move, then consolidation of the node it landed on), so
+        the oracle dropped all 12 moves of that round."""
+        cluster, loop = chaos_churn_xl(seed=44, duration=822.0).build()
+        rejected = []
+        rebalance_once = loop.rebalance_once
+
+        def checked(c):
+            plan = rebalance_once(c)
+            rejected.append(plan.skipped.get("plan_rejected_by_oracle", 0))
+            return plan
+
+        loop.rebalance_once = checked
+
+        class Enough(Exception):
+            pass
+
+        class StopAfter:
+            steps = 0
+
+            @classmethod
+            def record_step(cls, t, **_):
+                cls.steps += 1
+                if cls.steps >= 50:
+                    raise Enough
+
+        with pytest.raises(Enough):
+            cluster.run(loop, metrics=StopAfter)
+        assert len(rejected) >= 9
+        assert sum(rejected) == 0

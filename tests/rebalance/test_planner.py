@@ -133,6 +133,58 @@ class TestConsolidateGoal:
         assert not [m for m in plan.moves if m.reason == "consolidate"]
         assert plan.skipped.get("consolidate_unplaceable", 0) >= 1
 
+    @pytest.mark.parametrize("dialect", ["view", "arrays"])
+    def test_vm_moved_by_pressure_is_not_consolidated_again(self, dialect):
+        """Pressure moves v0 off n1 onto the empty n2; n2 is then a
+        consolidation candidate whose only VM is v0.  Moving v0 on again
+        would plan it twice and the oracle would drop the whole round."""
+        from repro.rebalance.arrays import ClusterStateArrays
+
+        view = make_view(
+            {
+                "n0": [],
+                "n1": [vm("v0", 1, 600.0), vm("v1", 2, 1800.0)],
+                "n2": [],
+                "n3": [vm("v2", 1, 600.0)],
+            },
+            capacities={"n0": 9600.0, "n1": 3600.0, "n2": 3600.0, "n3": 9600.0},
+        )
+        snapshot = view if dialect == "view" else ClusterStateArrays.from_view(view)
+        plan = MigrationPlanner().plan(snapshot, seed=0)
+        assert [(m.vm_name, m.source, m.target, m.reason) for m in plan.moves] == [
+            ("v0", "n1", "n2", "pressure"),
+            ("v2", "n3", "n2", "consolidate"),  # n2 stays; n3 empties onto it
+        ]
+        assert plan.skipped.get("consolidate_planned_vm") == 1
+        assert check_plan_admissible(view, plan) == []
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fuzzed_plans_never_move_a_vm_twice(self, seed):
+        """Random small clusters: both dialects plan identically and no
+        plan trips the oracle's double-move check."""
+        import random
+
+        from repro.rebalance.arrays import ClusterStateArrays
+
+        rng = random.Random(seed)
+        assignments, capacities, k = {}, {}, 0
+        for i in range(rng.randint(3, 5)):
+            vms = []
+            for _ in range(rng.randint(0, 3)):
+                vms.append(vm(f"v{k}", rng.choice([1, 2]), rng.choice([600.0, 1200.0, 1800.0])))
+                k += 1
+            assignments[f"n{i}"] = vms
+            capacities[f"n{i}"] = rng.choice([3600.0, 4800.0, 9600.0])
+        view = make_view(assignments, capacities=capacities)
+        ratio = rng.choice([1.0, 1.2])
+        drain = rng.choice([[], ["n0"]])
+        planner = MigrationPlanner(config=PlannerConfig(allocation_ratio=ratio))
+        plan = planner.plan(view, seed=seed, drain=drain)
+        twin = planner.plan(ClusterStateArrays.from_view(view), seed=seed, drain=drain)
+        assert plan.moves == twin.moves
+        assert plan.skipped == twin.skipped
+        assert check_plan_admissible(view, plan, allocation_ratio=ratio) == []
+
     def test_consolidate_disabled(self):
         view = make_view({"n0": [vm("a")], "n1": [vm("b"), vm("c")]})
         cfg = PlannerConfig(consolidate=False)

@@ -76,3 +76,24 @@ class TestLoadPerCore:
         a = AffinityModel(4, seed=2)
         load = a.load_per_core(list(range(16)), [1.0] * 16)
         assert np.allclose(load, 1.0)
+
+
+class TestArrayPlacementMatchesLoop:
+    def test_place_and_load_match_step_and_load_per_core(self):
+        """``place``/``load_from_cores`` (the node step's array path)
+        against ``step``/``load_per_core`` (the per-thread reference)."""
+        a, b = AffinityModel(8, seed=4), AffinityModel(8, seed=4)
+        rng = np.random.default_rng(2)
+        tids = list(range(100, 120))
+        for k in range(12):
+            if k == 5:
+                tids = tids[3:] + [200, 201]  # churn: some leave, some arrive
+                for t in (100, 101, 102):
+                    a.forget(t)
+                    b.forget(t)
+            util = rng.random(len(tids)) * 1.5
+            cores = a.place(tids, util, 0.5)
+            assert cores.tolist() == b.step(tids, util.tolist(), 0.5)
+            assert a.load_from_cores(cores, util).tobytes() == (
+                b.load_per_core(tids, util.tolist()).tobytes()
+            )

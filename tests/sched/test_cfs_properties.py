@@ -2,7 +2,8 @@
 
 Random two-level KVM-shaped trees (VM groups with vCPU children, random
 demands, random quotas) must always satisfy the CFS bandwidth-control
-invariants, regardless of shape.
+invariants, regardless of shape.  ``random_host(rich=True)`` draws the
+general trees the compiled step is checked on (test_cfs_compiled.py).
 """
 
 import numpy as np
@@ -16,8 +17,61 @@ from repro.sched.cfs import CfsScheduler
 from repro.sched.entity import SchedEntity
 
 
+def _draw_quota(draw, fs, path, quotas):
+    """No quota, a tight one or a loose one on ``path``."""
+    kind = draw(st.sampled_from(["unlimited", "tight", "loose"]))
+    if kind == "unlimited":
+        return
+    high = 1.0 if kind == "tight" else 8.0
+    ratio = draw(st.floats(0.01, high))
+    period = draw(st.sampled_from([100_000, 50_000, 250_000]))
+    quota = QuotaSpec(int(ratio * period), period)
+    fs.set_quota(path, quota)
+    quotas[path] = quota.ratio()
+
+
+def _rich_host(draw):
+    """Nested trees with threads at every level, non-default weights,
+    quotas anywhere, both hierarchy versions and an occasional entity
+    whose cgroup does not exist."""
+    num_cpus = draw(st.integers(1, 8))
+    fs = CgroupFS(draw(st.sampled_from([CgroupVersion.V1, CgroupVersion.V2])))
+    fs.makedirs("/machine.slice")
+    entities = []
+    quotas = {}
+
+    def add_threads(path, most):
+        for _ in range(draw(st.integers(0, most))):
+            demand = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+            weight = draw(st.sampled_from([1.0, 1.0, 0.5, 3.0]))
+            entities.append(
+                SchedEntity(tid=1000 + len(entities), cgroup_path=path,
+                            weight=weight, demand=demand)
+            )
+
+    def grow(path, depth):
+        fs.makedirs(path)
+        if draw(st.booleans()):
+            fs.node(path).cpu.weight = draw(st.integers(1, 10_000))
+        _draw_quota(draw, fs, path, quotas)
+        add_threads(path, 4)
+        if depth < 3:
+            for k in range(draw(st.integers(0, 3))):
+                grow(f"{path}/g{k}", depth + 1)
+
+    add_threads("/", 1)
+    add_threads("/machine.slice", 1)
+    for i in range(draw(st.integers(1, 4))):
+        grow(f"/machine.slice/vm{i}", 1)
+    if draw(st.booleans()):
+        add_threads("/machine.slice/missing", 1)
+    return fs, entities, quotas, num_cpus
+
+
 @st.composite
-def random_host(draw):
+def random_host(draw, rich=False):
+    if rich:
+        return _rich_host(draw)
     num_cpus = draw(st.integers(1, 16))
     num_vms = draw(st.integers(1, 6))
     fs = CgroupFS(CgroupVersion.V2)
