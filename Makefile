@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke bench-faults-smoke bench-perf-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
+.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke explain-smoke bench bench-smoke bench-faults-smoke bench-perf-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -41,6 +41,23 @@ billing-smoke:
 # failing seeds; alert ledgers + summary land in slo-artefacts/)
 slo-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro slo eval --seeds 3 --ticks 150 --tenants 3 --engine both --out slo-artefacts
+
+# one `repro explain` lookup per ledger kind, every ledger written
+# through the CLI into explain-artefacts/: a decision ledger (--obs-dir),
+# a rebalance ledger (rebalance run --ledger) and an alert ledger (slo
+# eval --out); the moved VM and the alerting SLO are read off the
+# ledgers (CI gate: every lookup exits 0)
+EXPLAIN_DIR = explain-artefacts
+explain-smoke:
+	rm -rf $(EXPLAIN_DIR)
+	PYTHONPATH=src $(PYTHON) -m repro eval1 --config B --duration 10 --time-scale 0.5 --obs-dir $(EXPLAIN_DIR)/obs > /dev/null
+	PYTHONPATH=src $(PYTHON) -m repro explain --obs-dir $(EXPLAIN_DIR)/obs --vm large-0 --vcpu 0 --tick 3
+	PYTHONPATH=src $(PYTHON) -m repro rebalance run --duration 120 --degrade-rate 0.3 --ledger $(EXPLAIN_DIR)/rebalance.jsonl > /dev/null
+	PYTHONPATH=src $(PYTHON) -m repro explain --ledger $(EXPLAIN_DIR)/rebalance.jsonl --move \
+	    "$$(PYTHONPATH=src $(PYTHON) -c 'import sys; from repro.obs import read_jsonl; print(next(m["vm"] for r in read_jsonl(sys.argv[1], kind="round") for m in r["moves"]))' $(EXPLAIN_DIR)/rebalance.jsonl)"
+	PYTHONPATH=src $(PYTHON) -m repro slo eval --seeds 1 --ticks 150 --tenants 3 --engine bulk --out $(EXPLAIN_DIR)/slo > /dev/null
+	PYTHONPATH=src $(PYTHON) -m repro explain --ledger $(EXPLAIN_DIR)/slo/alerts_seed0.jsonl --alert \
+	    "$$(PYTHONPATH=src $(PYTHON) -c 'import sys; from repro.obs import read_jsonl; print(read_jsonl(sys.argv[1], kind="alert")[0]["slo"])' $(EXPLAIN_DIR)/slo/alerts_seed0.jsonl)"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -128,5 +145,5 @@ examples:
 	$(PYTHON) examples/burst_vs_vfreq.py
 
 clean:
-	rm -rf benchmarks/artefacts.log benchmarks/results .pytest_cache fuzz-repros billing-repros slo-artefacts .coverage
+	rm -rf benchmarks/artefacts.log benchmarks/results .pytest_cache fuzz-repros billing-repros slo-artefacts explain-artefacts .coverage
 	find . -name __pycache__ -type d -exec rm -rf {} +

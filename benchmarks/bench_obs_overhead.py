@@ -125,7 +125,7 @@ def test_obs_overhead(once):
     for name in ("on (full fidelity)", "on (no per-vcpu spans)"):
         obs = ctrls[name].obs
         assert obs is not None
-        assert len(obs.ledger.ticks) == TICKS
+        assert len(obs.ledger) == TICKS
         assert len(obs.recorder.frames) == min(TICKS, obs.recorder.max_ticks)
         assert obs.ring.trace_ids()[-1] == TICKS - 1
     full_spans = ctrls["on (full fidelity)"].obs.tracer.spans_emitted

@@ -71,8 +71,8 @@ def derive_billing(
 ) -> DerivedBilling:
     """Recompute all billing state from ledger tick entries alone.
 
-    ``entries`` are decision-ledger records (``DecisionLedger.ticks``
-    or :func:`repro.obs.ledger.load_jsonl` output) in recording order —
+    ``entries`` are decision-ledger records (the hub's ``ledger``
+    event log, or ``read_jsonl(path, kind="tick")``) in recording order —
     ticks ascending, and after a controller restart the tick counter
     legitimately rewinds, in which case charges accumulate onto the
     same 1-based tick keys exactly as the live meter's did.
@@ -296,7 +296,7 @@ def replay_with_billing(
     violations: List[Violation] = []
     ledgers: Dict[str, List[Dict]] = {}
     for engine in result.engines:
-        entries = hubs[engine].ledger.ticks
+        entries = hubs[engine].ledger.records
         ledgers[engine] = entries
         for v in audit_billing(billing[engine], entries, book):
             violations.append(Violation(

@@ -45,6 +45,7 @@ from repro.checking.invariants import InvariantChecker, Violation
 from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerReport, VirtualFrequencyController
 from repro.core.resilience import ResiliencePolicy
+from repro.fileio import atomic_write
 from repro.hw.node import Node
 from repro.hw.nodespecs import NodeSpec
 from repro.virt.hypervisor import Hypervisor
@@ -116,7 +117,7 @@ class Trace:
         return cls(header=header, events=rows[1:])
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_jsonl())
 
     @classmethod

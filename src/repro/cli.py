@@ -756,73 +756,45 @@ def _note_torn(path: str, entries) -> None:
 def _cmd_explain(args) -> int:
     import os
 
+    from repro.obs.jsonl import read_jsonl
+    from repro.obs.ledger import explain_from_entries
+    from repro.obs.slo import explain_alert_from_entries
+    from repro.rebalance.ledger import explain_move_from_entries
+
     if args.alert is not None:
-        from repro.obs.slo import explain_alert_from_entries, load_alerts_jsonl
-
-        path = args.ledger
-        if path is None:
-            if args.obs_dir is None:
-                print("explain: need --ledger FILE or --obs-dir DIR",
-                      file=sys.stderr)
-                return 2
-            path = os.path.join(args.obs_dir, "alerts.jsonl")
-        if not os.path.exists(path):
-            print(f"explain: no alert ledger at {path}", file=sys.stderr)
-            return 2
-        entries = load_alerts_jsonl(path)
-        _note_torn(path, entries)
-        try:
-            print(explain_alert_from_entries(entries, args.alert, args.index))
-        except KeyError as exc:
-            print(f"explain: {exc.args[0]}", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.move is not None:
-        from repro.rebalance.ledger import (
-            explain_move_from_entries,
-            load_rebalance_jsonl,
-        )
-
-        path = args.ledger
-        if path is None:
-            if args.obs_dir is None:
-                print("explain: need --ledger FILE or --obs-dir DIR",
-                      file=sys.stderr)
-                return 2
-            path = os.path.join(args.obs_dir, "rebalance.jsonl")
-        if not os.path.exists(path):
-            print(f"explain: no rebalance ledger at {path}", file=sys.stderr)
-            return 2
-        entries = load_rebalance_jsonl(path)
-        _note_torn(path, entries)
-        try:
-            print(explain_move_from_entries(entries, args.move, args.round))
-        except KeyError as exc:
-            print(f"explain: {exc.args[0]}", file=sys.stderr)
-            return 1
-        return 0
-
-    from repro.obs.ledger import explain_from_entries, load_jsonl
-
-    if args.vm is None or args.vcpu is None or args.tick is None:
+        kind = "alert"
+    elif args.move is not None:
+        kind = "round"
+    elif args.vm is None or args.vcpu is None or args.tick is None:
         print("explain: need --vm/--vcpu/--tick (cap derivation) or "
               "--move VM (migration derivation)", file=sys.stderr)
         return 2
+    else:
+        kind = "tick"
+    # One row per record kind: default file in --obs-dir, the ledger's
+    # name in messages, and the renderer of one record.
+    default_file, name, render = {
+        "alert": ("alerts.jsonl", "alert ledger", lambda entries:
+                  explain_alert_from_entries(entries, args.alert, args.index)),
+        "round": ("rebalance.jsonl", "rebalance ledger", lambda entries:
+                  explain_move_from_entries(entries, args.move, args.round)),
+        "tick": ("ledger.jsonl", "ledger", lambda entries:
+                 explain_from_entries(entries, args.vm, args.vcpu, args.tick)),
+    }[kind]
     path = args.ledger
     if path is None:
         if args.obs_dir is None:
             print("explain: need --ledger FILE or --obs-dir DIR",
                   file=sys.stderr)
             return 2
-        path = os.path.join(args.obs_dir, "ledger.jsonl")
+        path = os.path.join(args.obs_dir, default_file)
     if not os.path.exists(path):
-        print(f"explain: no ledger at {path}", file=sys.stderr)
+        print(f"explain: no {name} at {path}", file=sys.stderr)
         return 2
-    entries = load_jsonl(path)
+    entries = read_jsonl(path, kind=kind)
     _note_torn(path, entries)
     try:
-        print(explain_from_entries(entries, args.vm, args.vcpu, args.tick))
+        print(render(entries))
     except KeyError as exc:
         print(f"explain: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -1050,7 +1022,7 @@ def _cmd_bill_demo(args) -> int:
             vm.set_uniform_demand(rng.random())
         node.step(cfg.period_s)
         ctrl.tick(float(i + 1))
-    violations = audit_billing(ctrl.billing, hub.ledger.ticks)
+    violations = audit_billing(ctrl.billing, hub.ledger.records)
     invoices = ctrl.billing.invoices()
     if args.json:
         print(invoices_to_json(invoices))
@@ -1074,12 +1046,12 @@ def _cmd_bill_derive(args) -> int:
 
     from repro.billing import build_invoices, invoices_to_json, render_invoices
     from repro.checking import derive_billing
-    from repro.obs.ledger import load_jsonl
+    from repro.obs.jsonl import read_jsonl
 
     if not os.path.exists(args.ledger):
         print(f"bill derive: no ledger at {args.ledger}", file=sys.stderr)
         return 2
-    entries = load_jsonl(args.ledger)
+    entries = read_jsonl(args.ledger, kind="tick")
     derived = derive_billing(entries)
     invoices = build_invoices(derived.usage, derived.credits, node=args.node)
     if args.json:
@@ -1177,6 +1149,7 @@ def _cmd_slo_eval(args) -> int:
     from repro.billing import DEFAULT_PRICE_BOOK, BillingEngine
     from repro.checking import generate_trace
     from repro.checking.trace import _compare_reports, replay
+    from repro.fileio import atomic_write
     from repro.obs.slo import SLOConfig, SLOPlane
 
     engines = _multi_engines(args.engine)
@@ -1206,7 +1179,7 @@ def _cmd_slo_eval(args) -> int:
 
     def alert_stream(plane) -> str:
         return "\n".join(
-            json.dumps(t, sort_keys=True) for t in plane.ledger.transitions
+            json.dumps(t, sort_keys=True) for t in plane.ledger
         )
 
     if args.out:
@@ -1256,7 +1229,7 @@ def _cmd_slo_eval(args) -> int:
                             f"attached at tick {tick}: {diffs[0]}"
                         )
                         break
-        transitions = len(planes[first].ledger.transitions)
+        transitions = len(planes[first].ledger)
         firing = len(planes[first].firing_alerts())
         status = "FAIL" if problems else "ok"
         print(
@@ -1268,7 +1241,7 @@ def _cmd_slo_eval(args) -> int:
             print(f"  {problem}")
         if args.out:
             path = os.path.join(args.out, f"alerts_seed{seed}.jsonl")
-            with open(path, "w") as fh:
+            with atomic_write(path) as fh:
                 if streams[first]:
                     fh.write(streams[first] + "\n")
         summary.append({
@@ -1281,7 +1254,7 @@ def _cmd_slo_eval(args) -> int:
         })
         failures += bool(problems)
     if args.out:
-        with open(os.path.join(args.out, "summary.json"), "w") as fh:
+        with atomic_write(os.path.join(args.out, "summary.json")) as fh:
             json.dump({"seeds": summary, "failures": failures}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")

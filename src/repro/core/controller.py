@@ -101,6 +101,10 @@ class ControllerReport:
     #: cycles > 0).  Part of the cross-engine comparison surface and
     #: the decision ledger's per-write provenance.
     free_shares: Dict[str, float] = field(default_factory=dict)
+    #: The per-vCPU decision rows, built on first request by
+    #: :func:`repro.obs.ledger.decision_rows` and shared by every
+    #: observer plane; not part of the report's value.
+    _rows: Optional[List[Dict]] = field(default=None, compare=False, repr=False)
 
     def vfreq_by_vm(self) -> Dict[str, float]:
         """Average estimated virtual frequency per VM (for Figs. 6-9)."""

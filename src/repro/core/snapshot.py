@@ -12,10 +12,10 @@ resumes control exactly where the old one stopped.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict
 
 from repro.core.controller import VirtualFrequencyController
+from repro.fileio import atomic_write
 
 #: Schema version for forwards compatibility.
 SNAPSHOT_VERSION = 1
@@ -40,20 +40,10 @@ def to_json(controller: VirtualFrequencyController) -> str:
 
 
 def save(controller: VirtualFrequencyController, path: str) -> None:
-    """Persist a snapshot atomically: a crash mid-write keeps the old one.
-
-    The JSON goes to a temporary file in the target's directory, is
-    flushed and fsynced, then renamed over ``path`` with
-    :func:`os.replace` — readers see either the previous snapshot or the
-    new one, never a torn file.  A failed write leaves only the
-    temporary file behind, which the next save overwrites.
-    """
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    """Persist a snapshot atomically: a crash mid-write keeps the old one
+    (:func:`repro.fileio.atomic_write`)."""
+    with atomic_write(path) as fh:
         fh.write(to_json(controller))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def validate(controller: VirtualFrequencyController, state: Dict) -> None:

@@ -52,6 +52,8 @@ from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.fileio import atomic_write
+
 #: Every fault kind the injector understands.
 FAULT_KINDS: Tuple[str, ...] = (
     "read_error",
@@ -198,7 +200,7 @@ class FaultPlan:
         return cls(specs, seed=int(data.get("seed", 0)))
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_json())
 
     @classmethod

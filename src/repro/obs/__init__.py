@@ -4,7 +4,8 @@ Four independent pillars behind one hub (:class:`Observability`):
 
 * :mod:`repro.obs.tracing` — per-tick span trees + Chrome/Perfetto export;
 * :mod:`repro.obs.ledger` — per-``cpu.max``-write decision provenance
-  (``repro explain``);
+  (``repro explain``), built once per tick by ``decision_rows`` and
+  stored in an :class:`~repro.obs.jsonl.EventLog`;
 * :mod:`repro.obs.flight_recorder` — black-box ring of the last N ticks,
   auto-dumped on invariant violations and crashes, convertible to a
   replayable checking trace;
@@ -25,18 +26,17 @@ from repro.obs.anomaly import AnomalyConfig, EwmaDetector
 from repro.obs.config import ObsConfig
 from repro.obs.flight_recorder import FlightRecorder, flight_dump_to_trace
 from repro.obs.hub import Observability
-from repro.obs.ledger import DecisionLedger, explain, recompute_allocation
+from repro.obs.jsonl import EventLog, read_jsonl
+from repro.obs.ledger import decision_rows, explain, recompute_allocation
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.metrics_server import MetricsServer
 from repro.obs.slo import (
-    AlertLedger,
     BurnRateRule,
     SLOConfig,
     SLOPlane,
     SLOSpec,
     default_slos,
     explain_alert,
-    load_alerts_jsonl,
 )
 from repro.obs.tracing import (
     JsonlSink,
@@ -51,7 +51,9 @@ from repro.obs.tsdb import Series, SeriesStore
 __all__ = [
     "ObsConfig",
     "Observability",
-    "DecisionLedger",
+    "EventLog",
+    "read_jsonl",
+    "decision_rows",
     "FlightRecorder",
     "flight_dump_to_trace",
     "MetricsServer",
@@ -72,8 +74,6 @@ __all__ = [
     "SLOSpec",
     "BurnRateRule",
     "default_slos",
-    "AlertLedger",
-    "load_alerts_jsonl",
     "explain_alert",
     "AnomalyConfig",
     "EwmaDetector",

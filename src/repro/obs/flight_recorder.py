@@ -26,6 +26,8 @@ import os
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.fileio import atomic_write
+
 DUMP_VERSION = 1
 
 
@@ -87,7 +89,7 @@ class FlightRecorder:
             "meta": dict(self.meta),
             "frames": list(self._frames),
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, sort_keys=True)
         self.dumps_written += 1
         self._last_dump_tick = newest

@@ -28,19 +28,19 @@ equality is what ``repro explain`` prints and what
 ``tests/obs/test_ledger.py`` asserts against the invariant oracles'
 independent arithmetic.
 
-Storage is one dict per tick (``{"meta": ..., "decisions": [...]}``)
-in a bounded in-memory ring, mirrored as JSONL when the hub has an
-``out_dir``.  Records are engine-agnostic: the scalar and bulk
-engines must produce identical ledgers (fuzz-checked).
+:func:`decision_rows` builds these records once per tick, from the
+finished report and the controller's registries; the hub's ledger and
+flight frame, the billing meter and the SLO plane all read the same
+rows.  Storage is one record per tick (``{"kind": "tick", "meta": ...,
+"decisions": [...]}``) in an :class:`~repro.obs.jsonl.EventLog`,
+mirrored as JSONL when the hub has an ``out_dir`` and read back with
+``read_jsonl(path, kind="tick")``.  Records are engine-agnostic: the
+scalar and bulk engines must produce identical ledgers (fuzz-checked).
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.obs.jsonl import JsonlRecords, read_jsonl
 
 
 def recompute_allocation(decision: Dict, p_us: float) -> float:
@@ -58,39 +58,116 @@ def recompute_allocation(decision: Dict, p_us: float) -> float:
     )
 
 
-class DecisionLedger:
-    """Bounded ring of per-tick decision records, optionally on disk."""
+def decision_rows(controller, report) -> List[Dict]:
+    """The per-vCPU decision records of one finished tick.
 
-    def __init__(self, ring_ticks: int = 1024, path: Optional[str] = None) -> None:
-        self._ring: deque = deque(maxlen=ring_ticks)
-        self.path = path
-        self._fh = open(path, "a", buffering=1) if path else None
-
-    def record_tick(self, meta: Dict, decisions: List[Dict]) -> None:
-        entry = {"kind": "tick", "meta": meta, "decisions": decisions}
-        self._ring.append(entry)
-        if self._fh is not None:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    @property
-    def ticks(self) -> List[Dict]:
-        return list(self._ring)
-
-    def lookup(
-        self, vm: str, vcpu: int, tick: int
-    ) -> Optional[Tuple[Dict, Dict]]:
-        """The ``(meta, decision)`` pair for one allocation, or ``None``."""
-        return lookup(self._ring, vm, vcpu, tick)
-
-    def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
+    One row per enforced allocation: samples first (in sample order),
+    then degraded-only paths enforced without a fresh sample.  Built at
+    most once per report and cached on it, so the hub's ledger and
+    flight frame, the billing meter and the SLO plane all read the same
+    rows.  Callers must not mutate them.
+    """
+    rows = report._rows
+    if rows is None:
+        rows = report._rows = _build_rows(controller, report)
+    return rows
 
 
-def load_jsonl(path: str) -> JsonlRecords:
-    """Load ledger tick entries back from a JSONL file (a torn last line
-    is dropped and counted in ``.dropped``)."""
-    return read_jsonl(path, kind="tick")
+def _build_rows(controller, report) -> List[Dict]:
+    from repro.core.backend import vm_component
+
+    rows: List[Dict] = []
+    if not report.allocations:
+        return rows  # config A / empty host: nothing enforced
+    cfg = controller.config
+    reserve = cfg.reserve_guarantee
+    quota_us = controller.enforcer.quota_us
+    vfreqs = controller._vm_vfreq
+    guarantees = controller._guarantee
+    purchased = report.auction.purchased if report.auction else {}
+    free = report.free_shares
+    degraded = report.degraded
+    seen = set()
+    for s in report.samples:
+        path = s.cgroup_path
+        alloc = report.allocations.get(path)
+        if alloc is None:
+            continue
+        seen.add(path)
+        d = report.decisions.get(path)
+        vm = s.vm_name
+        g = guarantees.get(vm)
+        base = None
+        if d is not None and g is not None:
+            base = min(d.estimate_cycles, g)
+            if reserve:
+                base = max(base, g)
+        rows.append({
+            "vm": vm,
+            "vcpu": s.vcpu_index,
+            "path": path,
+            "consumed": s.consumed_cycles,
+            "estimate": d.estimate_cycles if d is not None else None,
+            "trend": d.trend if d is not None else None,
+            "case": d.case.name.lower() if d is not None else None,
+            "vfreq": vfreqs.get(vm),
+            "guarantee": g,
+            "base": base,
+            "reserve_guarantee": reserve,
+            "purchased": purchased.get(path, 0.0),
+            "free_share": free.get(path, 0.0),
+            "fallback": degraded.get(path),
+            "allocation": alloc,
+            "quota_us": quota_us(alloc),
+        })
+    for path, alloc in report.allocations.items():
+        if path in seen:
+            continue
+        # Degraded-only paths: enforced without a fresh sample.
+        vm = vm_component(path, controller.machine_slice)
+        rows.append({
+            "vm": vm,
+            "vcpu": _vcpu_index_of(path),
+            "path": path,
+            "consumed": None,
+            "estimate": None,
+            "trend": None,
+            "case": None,
+            "vfreq": vfreqs.get(vm),
+            "guarantee": guarantees.get(vm),
+            "base": None,
+            "reserve_guarantee": reserve,
+            "purchased": purchased.get(path, 0.0),
+            "free_share": free.get(path, 0.0),
+            "fallback": degraded.get(path, alloc),
+            "allocation": alloc,
+            "quota_us": quota_us(alloc),
+        })
+    return rows
+
+
+def _vcpu_index_of(path: str) -> int:
+    """Trailing vcpu index of a cgroup path (``.../vcpu3`` -> 3)."""
+    tail = path.rsplit("/", 1)[-1]
+    digits = ""
+    for ch in reversed(tail):
+        if ch.isdigit():
+            digits = ch + digits
+        else:
+            break
+    return int(digits) if digits else -1
+
+
+def shortfall(row: Dict) -> bool:
+    """The SLA-shortfall rule: the vCPU wanted at least its guarantee
+    and got less.  Billing credits it; the SLO plane counts it bad."""
+    guarantee = row["guarantee"]
+    estimate = row["estimate"]
+    return (
+        guarantee is not None
+        and row["allocation"] < guarantee
+        and (estimate is None or estimate >= guarantee)
+    )
 
 
 def lookup(
@@ -200,6 +277,7 @@ def explain_from_entries(
     entries: Iterable[Dict], vm: str, vcpu: int, tick: int
 ) -> str:
     """Render the derivation, or raise ``KeyError`` with what exists."""
+    entries = list(entries)
     found = lookup(entries, vm, vcpu, tick)
     if found is None:
         ticks = sorted({e["meta"]["tick"] for e in entries})

@@ -4,15 +4,17 @@ The paper's contract is a *guarantee* (Eq. 2, inside a 1 s control
 period); this module turns it into operable SLOs in the Google-SRE
 style: an objective over a ratio of counters, a bank of
 (long window, short window, burn-rate factor) rules per severity, and
-firing/resolved :class:`Alert` transitions recorded in a bounded
-ledger with a JSONL mirror — re-derivable via ``repro explain
+firing/resolved :class:`Alert` transitions recorded in an
+:class:`~repro.obs.jsonl.EventLog` (``"kind": "alert"`` records, JSONL
+mirror in ``alerts.jsonl``) — re-derivable via ``repro explain
 --alert``, exactly like the decision ledger explains one ``cpu.max``
 write.
 
 The shipped catalogue (:func:`default_slos`):
 
 * ``guarantee`` — per-tenant guarantee-violation SLO: of all vCPU-tick
-  guarantee checks (the billing meter's SLA criterion, walk for walk),
+  guarantee checks (the billing meter's SLA-shortfall rule over the
+  shared decision rows),
   at most ``1 - objective`` may fail;
 * ``tick_deadline`` — control-loop latency SLO: each node's stage
   total must fit the control period (wall-clock, so excluded from the
@@ -31,14 +33,12 @@ and decision-ledger streams are bit-identical with it attached or not
 
 from __future__ import annotations
 
-import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.anomaly import AnomalyConfig, EwmaDetector
-from repro.obs.jsonl import JsonlRecords, read_jsonl
+from repro.obs.jsonl import EventLog
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
     S_CREDITS_USD,
@@ -207,39 +207,6 @@ class SLOConfig:
         return self.period_s * self.deadline_fraction
 
 
-class AlertLedger:
-    """Bounded ring of alert transitions, optionally mirrored as JSONL.
-
-    Same shape as the decision ledger: plain dicts, ``sort_keys``
-    serialization, one record per line — so two runs over identical
-    streams produce byte-identical files (the determinism gate).
-    """
-
-    def __init__(self, ring: int = 4096, path: Optional[str] = None) -> None:
-        self._ring: deque = deque(maxlen=ring)
-        self.path = path
-        self._fh = open(path, "a", buffering=1) if path else None
-
-    def record(self, transition: Dict) -> None:
-        self._ring.append(transition)
-        if self._fh is not None:
-            self._fh.write(json.dumps(transition, sort_keys=True) + "\n")
-
-    @property
-    def transitions(self) -> List[Dict]:
-        return list(self._ring)
-
-    def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
-
-
-def load_alerts_jsonl(path: str) -> JsonlRecords:
-    """Load alert transitions back from a JSONL mirror (a torn last line
-    is dropped and counted in ``.dropped``)."""
-    return read_jsonl(path, kind="alert")
-
-
 class SLOPlane:
     """The cluster SLO/alerting plane: one store, one rule engine.
 
@@ -269,7 +236,7 @@ class SLOPlane:
         path = (
             os.path.join(cfg.out_dir, "alerts.jsonl") if cfg.out_dir else None
         )
-        self.ledger = AlertLedger(cfg.ring, path=path)
+        self.ledger = EventLog(cfg.ring, path=path)
         #: (slo, labelset, severity) -> the transition that fired it.
         self._firing: Dict[Tuple[str, LabelSet, str], Dict] = {}
         self._detectors: Dict[Tuple[str, LabelSet], EwmaDetector] = {}
@@ -439,7 +406,7 @@ class SLOPlane:
                         transitions.append(transition)
         transitions.extend(self._evaluate_anomalies(tick, t))
         for transition in transitions:
-            self.ledger.record(transition)
+            self.ledger.append(transition)
         self.transitions_total += len(transitions)
         self.last_tick = tick
         return transitions

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.fileio import atomic_write
 from repro.obs.jsonl import JsonlRecords, read_jsonl
 
 #: Histogram bucket upper bounds, seconds (log-spaced around the
@@ -260,7 +261,7 @@ def write_chrome_trace(spans: Iterable[Span], path: str) -> str:
         "traceEvents": chrome_trace_events(spans),
         "displayTimeUnit": "ms",
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
     return path
 

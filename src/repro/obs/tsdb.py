@@ -15,12 +15,12 @@ downsampling is a plain mean over a fixed fanout, and queries are pure
 functions of the stored values — the property the alert-determinism
 suite (``tests/obs/test_slo_transparency.py``) leans on.
 
-Ingest is three-dialect, mirroring how the repo's planes report:
+Ingest follows how the repo's planes report:
 
 * :meth:`SeriesStore.ingest_report` — one finished
   :class:`~repro.core.controller.ControllerReport` plus the owning
-  controller's registries (tenant / guarantee maps), post hoc exactly
-  like the obs hub;
+  controller, post hoc like the obs hub, counting guarantee checks
+  over the same decision rows the ledger records and billing meters;
 * :meth:`SeriesStore.ingest_node_manager` — an in-process
   :class:`~repro.sim.node_manager.NodeManager` after a barrier tick,
   each node's report through :meth:`~SeriesStore.ingest_report`;
@@ -36,8 +36,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.ledger import decision_rows, shortfall
+
 #: Canonical series names the SLO plane subscribes to.  One place, so
-#: the three ingest dialects and ``slo.py`` can never drift apart.
+#: the ingest paths and ``slo.py`` can never drift apart.
 S_TICK_SECONDS = "tick_seconds"                    # {node} gauge
 S_STAGE_SECONDS = "stage_seconds"                  # {stage} gauge
 S_ALLOC_CYCLES = "alloc_cycles"                    # {node} gauge
@@ -327,11 +329,13 @@ class SeriesStore:
     ) -> Tuple[int, int]:
         """One finished tick, post hoc — the obs-hub dialect.
 
-        Walks the report exactly like ``BillingEngine._rows`` (samples
-        with allocations, guarantee vs. estimate vs. allocation) to
-        count per-tenant guarantee checks and violations, and appends
-        the per-node gauges.  Returns ``(bad, total)`` summed over
-        tenants, mostly for tests.
+        Counts per-tenant guarantee checks and violations over the
+        tick's decision rows (:func:`~repro.obs.ledger.decision_rows`,
+        shared with the hub and the billing meter): every row with a
+        fresh sample and a guarantee is one check, and a row meeting
+        the meter's :func:`~repro.obs.ledger.shortfall` rule is bad.
+        Also appends the per-node gauges.  Returns ``(bad, total)``
+        summed over tenants, mostly for tests.
         """
         node_labels = {"node": node}
         self.append(S_TICK_SECONDS, report.timings.total, node_labels)
@@ -341,27 +345,17 @@ class SeriesStore:
         self.append(S_ALLOC_CYCLES, alloc_total, node_labels)
         self.append(S_DEGRADED_VCPUS, float(len(report.degraded)), node_labels)
 
-        tenants = getattr(controller, "_vm_tenant", {})
-        guarantees = getattr(controller, "_guarantee", {})
-        decisions = report.decisions
         bad_by_tenant: Dict[str, int] = {}
         total_by_tenant: Dict[str, int] = {}
-        for s in report.samples:
-            alloc = report.allocations.get(s.cgroup_path)
-            if alloc is None:
-                continue
-            vm = s.vm_name
-            g = guarantees.get(vm)
-            if g is None:
-                continue
-            tenant = tenants.get(vm, "default")
-            total_by_tenant[tenant] = total_by_tenant.get(tenant, 0) + 1
-            d = decisions.get(s.cgroup_path)
-            estimate = d.estimate_cycles if d is not None else None
-            # The billing meter's SLA-shortfall criterion, verbatim: the
-            # vCPU wanted at least its guarantee and got less.
-            if alloc < g and (estimate is None or estimate >= g):
-                bad_by_tenant[tenant] = bad_by_tenant.get(tenant, 0) + 1
+        if controller is not None:
+            tenants = controller._vm_tenant
+            for row in decision_rows(controller, report):
+                if row["consumed"] is None or row["guarantee"] is None:
+                    continue
+                tenant = tenants.get(row["vm"], "default")
+                total_by_tenant[tenant] = total_by_tenant.get(tenant, 0) + 1
+                if shortfall(row):
+                    bad_by_tenant[tenant] = bad_by_tenant.get(tenant, 0) + 1
         bad = total = 0
         for tenant in sorted(total_by_tenant):
             nb = bad_by_tenant.get(tenant, 0)

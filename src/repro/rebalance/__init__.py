@@ -8,8 +8,8 @@ of Eq. 7-admissible moves on a what-if copy
 :class:`~repro.rebalance.planner.MigrationPlanner` — relieve guarantee
 pressure, consolidate, drain), execute them with in-flight blackouts
 through :class:`~repro.rebalance.loop.RebalanceLoop`, and make every
-move explainable via the :class:`~repro.rebalance.ledger.
-RebalanceLedger` (``repro explain --move``).
+move explainable via the loop's rebalance ledger (``repro explain
+--move``, :mod:`repro.rebalance.ledger`).
 """
 
 from repro.rebalance.arrays import ClusterStateArrays, SimulatedArrays
@@ -20,10 +20,8 @@ from repro.rebalance.chaos import (
     MigrationStarted,
 )
 from repro.rebalance.ledger import (
-    RebalanceLedger,
     explain_move,
     explain_move_from_entries,
-    load_rebalance_jsonl,
     lookup_move,
 )
 from repro.rebalance.loop import RebalanceLoop
@@ -56,7 +54,6 @@ __all__ = [
     "NodeView",
     "PlannedMove",
     "PlannerConfig",
-    "RebalanceLedger",
     "RebalanceLoop",
     "SimulatedArrays",
     "SimulatedNode",
@@ -64,6 +61,5 @@ __all__ = [
     "VmView",
     "explain_move",
     "explain_move_from_entries",
-    "load_rebalance_jsonl",
     "lookup_move",
 ]

@@ -1,9 +1,10 @@
 """The rebalance ledger: per-move provenance for ``repro explain``.
 
-Every rebalance round appends one record in the PR 5 decision-ledger
-style (:mod:`repro.obs.ledger`): ``{"kind": "round", "meta": {...},
-"moves": [...]}`` in a bounded in-memory ring, mirrored line-buffered
-as JSONL when a path is given.  ``meta`` carries the round context
+Every rebalance round appends one record in the decision-ledger style
+(:mod:`repro.obs.ledger`): ``{"kind": "round", "meta": {...},
+"moves": [...]}`` in the loop's :class:`~repro.obs.jsonl.EventLog`,
+mirrored line-buffered as JSONL when a path is given and read back with
+``read_jsonl(path, kind="round")``.  ``meta`` carries the round context
 (round number, snapshot time, seed, pressure before/after,
 fragmentation, skip histogram); each move record carries the full
 decision chain — goal, victim-selection rule, best-fit target, Eq. 7
@@ -14,52 +15,13 @@ the same way ``repro explain vm-0 0 --tick 3`` answers "why this cap".
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.obs.jsonl import JsonlRecords, read_jsonl
 
 _VICTIM_RULES = {
     "pressure": "smallest VM covering the Eq. 7 deficit, else largest",
     "drain": "evacuate all, largest guarantee first",
     "consolidate": "whole-node evacuation onto used nodes, largest first",
 }
-
-
-class RebalanceLedger:
-    """Bounded ring of per-round move records, optionally on disk."""
-
-    def __init__(self, ring_rounds: int = 1024, path: Optional[str] = None) -> None:
-        self._ring: deque = deque(maxlen=ring_rounds)
-        self.path = path
-        self._fh = open(path, "a", buffering=1) if path else None
-
-    def record_round(self, meta: Dict, moves: List[Dict]) -> None:
-        entry = {"kind": "round", "meta": meta, "moves": moves}
-        self._ring.append(entry)
-        if self._fh is not None:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    @property
-    def rounds(self) -> List[Dict]:
-        return list(self._ring)
-
-    def lookup(
-        self, vm: str, round_no: Optional[int] = None
-    ) -> Optional[Tuple[Dict, Dict]]:
-        """The ``(meta, move)`` pair for one migration, or ``None``."""
-        return lookup_move(self._ring, vm, round_no)
-
-    def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
-
-
-def load_rebalance_jsonl(path: str) -> JsonlRecords:
-    """Load round entries back from a JSONL mirror file (a torn last
-    line is dropped and counted in ``.dropped``)."""
-    return read_jsonl(path, kind="round")
 
 
 def lookup_move(

@@ -6,18 +6,16 @@ implement (both :class:`~repro.sim.cluster_engine.ClusterSimulation`
 and the benchmark's :class:`~repro.rebalance.chaos.ChurnChaosCluster`
 do):
 
-* ``rebalance_view() -> ClusterStateView`` — frozen snapshot;
+* ``rebalance_arrays() -> ClusterStateArrays`` — structure-of-arrays
+  snapshot;
 * ``start_migration(vm_name, target_id)`` — begin one live migration,
   returning an event with ``duration_s`` (the driver owns the blackout:
   source+target pinned while in flight, VM paused ``downtime_s`` at
   cut-over).
 
-Drivers may additionally offer ``rebalance_arrays() ->
-ClusterStateArrays`` — the structure-of-arrays snapshot dialect.  The
-loop's ``dialect`` knob picks the spelling: ``"auto"`` (default) uses
-arrays whenever the driver provides them, ``"view"`` / ``"arrays"``
-force one side.  The planner emits bit-identical plans from either
-dialect, so the knob changes round latency, never behaviour.
+Both drivers also keep ``rebalance_view() -> ClusterStateView``, the
+frozen-dataclass spelling of the same snapshot: the planner makes the
+identical plan from it, which is how the arrays path is checked.
 
 Each round: snapshot → plan (:class:`MigrationPlanner`, seeded) →
 cross-check the whole batch against the independent plan oracle
@@ -25,7 +23,7 @@ cross-check the whole batch against the independent plan oracle
 inadmissible plan is dropped wholesale — planner bugs must not reach
 the cluster) → execute → observe (round/migration histograms, per-goal
 counters, a ``rebalance:round`` span) → record every move in the
-:class:`~repro.rebalance.ledger.RebalanceLedger` so ``repro explain
+:class:`~repro.obs.jsonl.EventLog` so ``repro explain
 --move vm-X`` can reconstruct the decision.
 """
 
@@ -35,8 +33,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.checking.invariants import check_plan_admissible
+from repro.obs.jsonl import EventLog
 from repro.obs.tracing import Histogram, Tracer
-from repro.rebalance.ledger import RebalanceLedger
 from repro.rebalance.planner import MigrationPlan, MigrationPlanner, PlannedMove
 
 
@@ -49,20 +47,16 @@ class RebalanceLoop:
         *,
         every: int = 5,
         seed: int = 0,
-        ledger: Optional[RebalanceLedger] = None,
+        ledger: Optional[EventLog] = None,
         tracer: Optional[Tracer] = None,
-        dialect: str = "auto",
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
-        if dialect not in ("auto", "view", "arrays"):
-            raise ValueError("dialect must be 'auto', 'view' or 'arrays'")
         self.planner = planner or MigrationPlanner()
         self.every = every
         self.seed = seed
-        self.ledger = ledger or RebalanceLedger()
+        self.ledger = ledger if ledger is not None else EventLog()
         self.tracer = tracer
-        self.dialect = dialect
         self.drain: set = set()
         self.rounds_total = 0
         self.migrations_total: Dict[str, int] = {}
@@ -73,7 +67,7 @@ class RebalanceLoop:
         self.snapshot_durations: List[float] = []
         self.plan_durations: List[float] = []
         self.last_plan: Optional[MigrationPlan] = None
-        #: Last snapshot, in whichever dialect the round used.
+        #: Last round's snapshot.
         self.last_view = None
 
     # -- drain workflow -------------------------------------------------------
@@ -104,19 +98,10 @@ class RebalanceLoop:
             return None
         return self.rebalance_once(cluster)
 
-    def _snapshot(self, cluster):
-        """One cluster snapshot in the configured dialect."""
-        if self.dialect == "view":
-            return cluster.rebalance_view()
-        if self.dialect == "arrays":
-            return cluster.rebalance_arrays()
-        arrays = getattr(cluster, "rebalance_arrays", None)
-        return arrays() if arrays is not None else cluster.rebalance_view()
-
     def rebalance_once(self, cluster) -> MigrationPlan:
         """Snapshot, plan, oracle-check, execute, observe, ledger."""
         started = time.perf_counter()
-        view = self._snapshot(cluster)
+        view = cluster.rebalance_arrays()
         snapshot_done = time.perf_counter()
         round_no = self.rounds_total
         plan = self.planner.plan(
@@ -166,7 +151,7 @@ class RebalanceLoop:
             "snapshot_seconds": snapshot_done - started,
             "plan_seconds": plan_done - snapshot_done,
         }
-        self.ledger.record_round(meta, executed)
+        self.ledger.append({"kind": "round", "meta": meta, "moves": executed})
         if self.tracer is not None:
             self.tracer.record(
                 "rebalance:round",

@@ -375,8 +375,8 @@ class ClusterSimulation:
         return ClusterStateView.from_cluster_sim(self)
 
     def rebalance_arrays(self):
-        """Structure-of-arrays spelling of the same snapshot — what the
-        rebalance loop's ``dialect="auto"`` picks at fleet scale."""
+        """Structure-of-arrays spelling of the same snapshot — the one
+        the rebalance loop plans from."""
         from repro.rebalance.arrays import ClusterStateArrays
 
         return ClusterStateArrays.from_cluster_sim(self)

@@ -13,6 +13,7 @@ from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
+from repro.fileio import atomic_write
 from repro.sim.metrics import TimeSeries
 
 PathLike = Union[str, pathlib.Path]
@@ -48,7 +49,7 @@ def series_to_csv(
             buckets.setdefault(b, {})[name] = float(np.mean(vals))
 
     names = list(series)
-    with out.open("w", newline="") as fh:
+    with atomic_write(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s"] + names)
         for b in sorted(buckets):
@@ -71,7 +72,7 @@ def scores_to_csv(
     out.parent.mkdir(parents=True, exist_ok=True)
     names = list(scores_by_label)
     longest = max(len(v) for v in scores_by_label.values())
-    with out.open("w", newline="") as fh:
+    with atomic_write(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration"] + names)
         for i in range(longest):

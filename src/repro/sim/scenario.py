@@ -418,8 +418,6 @@ class ClusterScenario:
     max_moves_per_round: int = 16
     max_moves_per_node: int = 4
     ledger_path: Optional[str] = None
-    #: Snapshot dialect for the loop: "auto" | "view" | "arrays".
-    dialect: str = "auto"
 
     def __post_init__(self) -> None:
         if self.nodes <= 0 or self.vms < 0:
@@ -428,8 +426,6 @@ class ClusterScenario:
             raise ValueError("duration and dt must be positive")
         if self.rebalance_every < 1:
             raise ValueError("rebalance_every must be >= 1")
-        if self.dialect not in ("auto", "view", "arrays"):
-            raise ValueError("dialect must be 'auto', 'view' or 'arrays'")
 
     def chaos_config(self):
         from repro.rebalance import ChaosConfig
@@ -448,12 +444,12 @@ class ClusterScenario:
 
     def build(self):
         """(cluster, loop-or-None), ready for ``cluster.run(loop)``."""
+        from repro.obs.jsonl import EventLog
         from repro.placement.migration import MigrationModel
         from repro.rebalance import (
             ChurnChaosCluster,
             MigrationPlanner,
             PlannerConfig,
-            RebalanceLedger,
             RebalanceLoop,
         )
 
@@ -470,8 +466,7 @@ class ClusterScenario:
                 ),
                 every=self.rebalance_every,
                 seed=self.seed,
-                ledger=RebalanceLedger(path=self.ledger_path),
-                dialect=self.dialect,
+                ledger=EventLog(path=self.ledger_path),
             )
         return cluster, loop
 
@@ -509,7 +504,6 @@ def chaos_churn_xl(
     rebalance: bool = True,
     seed: int = 7,
     duration: float = 60.0,
-    dialect: str = "auto",
     ledger_path: Optional[str] = None,
 ) -> ClusterScenario:
     """The 1000-node / 50k-VM scale point (`chaos1000` benchmark).
@@ -525,7 +519,6 @@ def chaos_churn_xl(
         duration=duration,
         seed=seed,
         rebalance=rebalance,
-        dialect=dialect,
         ledger_path=ledger_path,
     )
 

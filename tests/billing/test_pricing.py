@@ -120,8 +120,9 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             tick=1, fmax_mhz=2400.0, market_initial=1000.0, market_left=400.0,
+            tenants={"vm1": "acme"},
             rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
+                "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
                 "guarantee": 500.0, "estimate": 700.0, "base": 500.0,
                 "purchased": 120.0, "fallback": None, "allocation": 640.0,
             }],
@@ -137,8 +138,9 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             tick=1, fmax_mhz=2400.0, market_initial=0.0, market_left=0.0,
+            tenants={"vm1": "acme"},
             rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
+                "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
                 "guarantee": 500.0, "estimate": 600.0, "base": 500.0,
                 "purchased": 0.0, "fallback": None, "allocation": 450.0,
             }],
@@ -156,8 +158,9 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             tick=1, fmax_mhz=2400.0, market_initial=0.0, market_left=0.0,
+            tenants={"vm1": "acme"},
             rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
+                "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
                 "guarantee": 500.0, "estimate": 100.0, "base": 100.0,
                 "purchased": 0.0, "fallback": None, "allocation": 100.0,
             }],

@@ -77,7 +77,7 @@ class TestOracleSilence:
     @settings(max_examples=10, deadline=None)
     def test_oracle_certifies_every_admissible_fleet(self, fleet, engine):
         _, hub, bill = run_billed_host(fleet, engine=engine)
-        assert audit_billing(bill, hub.ledger.ticks) == []
+        assert audit_billing(bill, hub.ledger.records) == []
 
 
 class TestRevenueConservation:

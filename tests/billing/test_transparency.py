@@ -57,7 +57,7 @@ class TestBillingTransparency:
                 ) == []
             # ledger streams: JSON-canonical lines identical
             lines_off = [json.dumps(e, sort_keys=True)
-                         for e in off_hubs[engine].ledger.ticks]
+                         for e in off_hubs[engine].ledger.records]
             lines_on = [json.dumps(e, sort_keys=True)
                         for e in on.ledgers[engine]]
             assert lines_off == lines_on
@@ -71,7 +71,7 @@ class TestBillingTransparency:
         correctly."""
         trace = generate_trace(5, ticks=10, tenants=2)
         _, hubs = _ledgered_replay(trace, ("scalar",))
-        entries = hubs["scalar"].ledger.ticks
+        entries = hubs["scalar"].ledger.records
         assert entries
         tenant_maps = [e["meta"].get("tenants") for e in entries]
         assert all(m is not None for m in tenant_maps)

@@ -22,7 +22,7 @@ def ledger_for(trace, engine):
         ticks += 1
         report, violations = replica.tick(float(ticks))
         assert violations == []
-    return obs.ledger.ticks
+    return obs.ledger.records
 
 
 @pytest.mark.parametrize("seed", [11, 23])

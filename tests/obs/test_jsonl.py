@@ -1,8 +1,9 @@
 """JSONL mirrors cut inside their last record still load.
 
-A crash mid-append leaves one unterminated, unparsable final line.  All
-four loaders read through ``repro.obs.jsonl.read_jsonl``: they drop that
-line, count it, and still raise on a bad line anywhere else.
+A crash mid-append leaves one unterminated, unparsable final line.  The
+three ledgers and the span file all read through
+``repro.obs.jsonl.read_jsonl``: it drops that line, counts it, and still
+raises on a bad line anywhere else.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.obs import ObsConfig
-from repro.obs.jsonl import read_jsonl
-from repro.obs.ledger import load_jsonl
-from repro.obs.slo import AlertLedger, load_alerts_jsonl
+from repro.obs.jsonl import EventLog, read_jsonl
 from repro.obs.tracing import JsonlSink, Tracer, spans_from_jsonl
-from repro.rebalance.ledger import RebalanceLedger, load_rebalance_jsonl
 from tests.obs.conftest import drive_host
 
 
@@ -40,31 +38,31 @@ def _decision_mirror(tmp_path) -> str:
 class TestTornLastLine:
     def test_decision_ledger(self, tmp_path):
         path = f"{_decision_mirror(tmp_path)}/ledger.jsonl"
-        whole = load_jsonl(path)
+        whole = read_jsonl(path, kind="tick")
         tear_last_record(path)
-        torn = load_jsonl(path)
+        torn = read_jsonl(path, kind="tick")
         assert torn == whole[:-1]
         assert (whole.dropped, torn.dropped) == (0, 1)
 
     def test_rebalance_ledger(self, tmp_path):
         path = str(tmp_path / "rebalance.jsonl")
-        ledger = RebalanceLedger(path=path)
+        ledger = EventLog(path=path)
         for k in range(3):
-            ledger.record_round({"round": k, "t": float(k)}, [])
+            ledger.append({"kind": "round", "meta": {"round": k, "t": float(k)}, "moves": []})
         ledger.close()
         tear_last_record(path)
-        entries = load_rebalance_jsonl(path)
+        entries = read_jsonl(path, kind="round")
         assert [e["meta"]["round"] for e in entries] == [0, 1]
         assert entries.dropped == 1
 
     def test_alert_ledger(self, tmp_path):
         path = str(tmp_path / "alerts.jsonl")
-        ledger = AlertLedger(path=path)
+        ledger = EventLog(path=path)
         for k in range(3):
-            ledger.record({"kind": "alert", "k": k})
+            ledger.append({"kind": "alert", "k": k})
         ledger.close()
         tear_last_record(path)
-        entries = load_alerts_jsonl(path)
+        entries = read_jsonl(path, kind="alert")
         assert [e["k"] for e in entries] == [0, 1]
         assert entries.dropped == 1
 

@@ -5,11 +5,10 @@ import pytest
 from repro.cli import main
 from repro.core.units import guaranteed_cycles
 from repro.obs import ObsConfig, recompute_allocation
+from repro.obs.jsonl import EventLog, read_jsonl
 from repro.obs.ledger import (
-    DecisionLedger,
     explain,
     explain_from_entries,
-    load_jsonl,
     lookup,
 )
 from tests.obs.conftest import drive_host
@@ -27,8 +26,8 @@ class TestLedgerArithmetic:
     @pytest.mark.parametrize("engine", ["scalar", "bulk"])
     def test_recompute_is_bit_exact(self, engine):
         _, ctrl, obs = drive_host(TICKS, engine=engine)
-        assert len(obs.ledger.ticks) == TICKS
-        for entry in obs.ledger.ticks:
+        assert len(obs.ledger.records) == TICKS
+        for entry in obs.ledger.records:
             p_us = entry["meta"]["p_us"]
             assert entry["decisions"], "busy host must enforce every tick"
             for d in entry["decisions"]:
@@ -43,14 +42,14 @@ class TestLedgerArithmetic:
         )
         assert ctrl.invariant_checker.violations_total == 0
         assert ctrl.invariant_checker.checks_total == TICKS
-        for report, entry in zip(ctrl.reports, obs.ledger.ticks):
+        for report, entry in zip(ctrl.reports, obs.ledger.records):
             recorded = {d["path"]: d["allocation"] for d in entry["decisions"]}
             assert recorded == report.allocations
 
     def test_eq2_guarantee_recorded(self, driven):
         ctrl, obs = driven
         cfg = ctrl.config
-        for entry in obs.ledger.ticks:
+        for entry in obs.ledger.records:
             for d in entry["decisions"]:
                 assert d["guarantee"] == guaranteed_cycles(
                     cfg.period_s, d["vfreq"], ctrl.fmax_mhz
@@ -59,7 +58,7 @@ class TestLedgerArithmetic:
     def test_wallet_conservation_in_meta(self, driven):
         _, obs = driven
         prev = None
-        for entry in obs.ledger.ticks:
+        for entry in obs.ledger.records:
             meta = entry["meta"]
             if prev is not None:
                 assert meta["wallets_before"] == prev
@@ -67,7 +66,7 @@ class TestLedgerArithmetic:
 
     def test_quota_us_matches_enforcer(self, driven):
         ctrl, obs = driven
-        entry = obs.ledger.ticks[-1]
+        entry = obs.ledger.records[-1]
         for d in entry["decisions"]:
             assert d["quota_us"] == ctrl.enforcer.quota_us(d["allocation"])
 
@@ -75,19 +74,19 @@ class TestLedgerArithmetic:
 class TestLookupAndExplain:
     def test_lookup_finds_every_decision(self, driven):
         _, obs = driven
-        meta, d = obs.ledger.lookup("vm-0", 1, 3)
+        meta, d = lookup(obs.ledger, "vm-0", 1, 3)
         assert meta["tick"] == 3
         assert (d["vm"], d["vcpu"]) == ("vm-0", 1)
 
     def test_lookup_missing_returns_none(self, driven):
         _, obs = driven
-        assert obs.ledger.lookup("vm-0", 9, 3) is None
-        assert obs.ledger.lookup("nope", 0, 3) is None
-        assert obs.ledger.lookup("vm-0", 0, 999) is None
+        assert lookup(obs.ledger, "vm-0", 9, 3) is None
+        assert lookup(obs.ledger, "nope", 0, 3) is None
+        assert lookup(obs.ledger, "vm-0", 0, 999) is None
 
     def test_explain_renders_the_derivation(self, driven):
         _, obs = driven
-        meta, d = obs.ledger.lookup("vm-1", 0, 4)
+        meta, d = lookup(obs.ledger, "vm-1", 0, 4)
         text = explain(meta, d)
         for marker in (
             "cpu.max derivation for vm-1/vcpu0 at tick 4",
@@ -100,33 +99,40 @@ class TestLookupAndExplain:
 
     def test_explain_flags_tampering(self, driven):
         _, obs = driven
-        meta, d = obs.ledger.lookup("vm-1", 0, 4)
+        meta, d = lookup(obs.ledger, "vm-1", 0, 4)
         tampered = dict(d, allocation=d["allocation"] + 1.0)
         assert "MISMATCH" in explain(meta, tampered)
 
     def test_explain_from_entries_keyerror_names_window(self, driven):
         _, obs = driven
         with pytest.raises(KeyError, match=r"recorded ticks: 0\.\.7"):
-            explain_from_entries(obs.ledger.ticks, "vm-0", 0, 999)
+            explain_from_entries(obs.ledger.records, "vm-0", 0, 999)
+
+    def test_explain_from_entries_reads_a_generator_once(self, driven):
+        """A one-shot iterable still names the recorded window."""
+        _, obs = driven
+        entries = (entry for entry in obs.ledger)
+        with pytest.raises(KeyError, match=r"recorded ticks: 0\.\.7"):
+            explain_from_entries(entries, "vm-0", 0, 999)
 
 
 class TestPersistence:
     def test_ring_is_bounded(self):
         _, _, obs = drive_host(6, obs_config=ObsConfig(ledger_ring_ticks=4))
-        ticks = [e["meta"]["tick"] for e in obs.ledger.ticks]
+        ticks = [e["meta"]["tick"] for e in obs.ledger.records]
         assert ticks == [2, 3, 4, 5]
 
     def test_jsonl_mirror_round_trips(self, tmp_path):
         out = str(tmp_path / "obs")
         _, _, obs = drive_host(5, obs_config=ObsConfig(out_dir=out))
         obs.close()
-        entries = load_jsonl(f"{out}/ledger.jsonl")
-        assert entries == obs.ledger.ticks
-        assert lookup(entries, "vm-0", 0, 2) == obs.ledger.lookup("vm-0", 0, 2)
+        entries = read_jsonl(f"{out}/ledger.jsonl", kind="tick")
+        assert entries == obs.ledger.records
+        assert lookup(entries, "vm-0", 0, 2) == lookup(obs.ledger, "vm-0", 0, 2)
 
     def test_memory_only_ledger_has_no_file(self):
-        ledger = DecisionLedger(ring_ticks=8)
-        ledger.record_tick({"tick": 0}, [])
+        ledger = EventLog(ring=8)
+        ledger.append({"kind": "tick", "meta": {"tick": 0}, "decisions": []})
         assert ledger.path is None
         ledger.close()
 

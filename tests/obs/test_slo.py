@@ -5,9 +5,9 @@ import os
 
 import pytest
 
+from repro.obs.jsonl import EventLog, read_jsonl
 from repro.obs.slo import (
     DEFAULT_RULES,
-    AlertLedger,
     BurnRateRule,
     SLOConfig,
     SLOPlane,
@@ -15,7 +15,6 @@ from repro.obs.slo import (
     default_slos,
     explain_alert,
     explain_alert_from_entries,
-    load_alerts_jsonl,
     lookup_alert,
 )
 from repro.obs.tsdb import S_GUARANTEE_BAD, S_GUARANTEE_CHECKS
@@ -143,7 +142,7 @@ class TestBurnRateLifecycle:
             plane.store.accumulate(S_GUARANTEE_BAD, 0.0, {"tenant": "good"})
             plane.store.accumulate(S_GUARANTEE_CHECKS, 10.0, {"tenant": "good"})
             transitions = plane.evaluate(tick)
-        tenants = {t["labels"]["tenant"] for t in plane.ledger.transitions}
+        tenants = {t["labels"]["tenant"] for t in plane.ledger.records}
         assert tenants == {"bad"}
         assert {t["labels"]["tenant"] for t in plane.firing_alerts()} == {"bad"}
 
@@ -159,7 +158,7 @@ class TestBurnRateLifecycle:
         # ratio = 1 / (1 + 3) = 0.25 against a 1% budget -> 25x burn.
         assert plane.burn_rate(spec, 5, {}) == pytest.approx(25.0)
         assert any(t["severity"] == "page"
-                   for t in plane.ledger.transitions)
+                   for t in plane.ledger.records)
 
     def test_error_budget_remaining_can_go_negative(self):
         # 25 ticks so the 1440-tick budget window (served by ladder
@@ -179,12 +178,12 @@ class TestBurnRateLifecycle:
 class TestAlertLedger:
     def test_ring_bound_and_jsonl_mirror(self, tmp_path):
         path = str(tmp_path / "alerts.jsonl")
-        ledger = AlertLedger(ring=2, path=path)
+        ledger = EventLog(ring=2, path=path)
         for k in range(4):
-            ledger.record({"kind": "alert", "k": k})
-        assert [t["k"] for t in ledger.transitions] == [2, 3]
+            ledger.append({"kind": "alert", "k": k})
+        assert [t["k"] for t in ledger.records] == [2, 3]
         ledger.close()
-        entries = load_alerts_jsonl(path)
+        entries = read_jsonl(path, kind="alert")
         assert [e["k"] for e in entries] == [0, 1, 2, 3]  # file keeps all
 
     def test_loader_skips_foreign_lines(self, tmp_path):
@@ -193,7 +192,7 @@ class TestAlertLedger:
             json.dumps({"kind": "alert", "slo": "x"}) + "\n"
             + json.dumps({"kind": "header"}) + "\n\n"
         )
-        assert len(load_alerts_jsonl(str(path))) == 1
+        assert len(read_jsonl(str(path), kind="alert")) == 1
 
     def test_identical_streams_byte_identical_files(self, tmp_path):
         paths = []
@@ -215,7 +214,7 @@ class TestExplainAlert:
                                    out_dir=str(tmp_path)))
         feed_guarantee(plane, 10, 0.5)
         plane.close()
-        return load_alerts_jsonl(str(tmp_path / "alerts.jsonl"))
+        return read_jsonl(str(tmp_path / "alerts.jsonl"), kind="alert")
 
     def test_rederivation_matches(self, tmp_path):
         entries = self._entries(tmp_path)
@@ -295,7 +294,7 @@ class TestFlightDumpOnPage:
                     S_GUARANTEE_CHECKS, 10.0, {"tenant": tenant}
                 )
         tick(2)
-        pages = [t for t in plane.ledger.transitions
+        pages = [t for t in plane.ledger.records
                  if t["severity"] == "page" and t["state"] == "firing"]
         assert len(pages) == 2
         dumps = [f for f in os.listdir(tmp_path)

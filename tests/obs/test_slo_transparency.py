@@ -120,7 +120,7 @@ def _replay_with_plane(trace, engines):
 
 def _stream(plane):
     return "\n".join(
-        json.dumps(t, sort_keys=True) for t in plane.ledger.transitions
+        json.dumps(t, sort_keys=True) for t in plane.ledger.records
     )
 
 
@@ -138,7 +138,7 @@ class TestAlertDeterminism:
     def test_trace_produces_alert_traffic(self, fuzz_run):
         _, (result, planes) = fuzz_run
         assert not result.violations
-        assert planes["scalar"].ledger.transitions  # non-trivial gate
+        assert planes["scalar"].ledger.records  # non-trivial gate
 
     def test_streams_identical_across_engines(self, fuzz_run):
         _, (_, planes) = fuzz_run

@@ -1,8 +1,14 @@
 """The SLO plane's time-series store: rings, ladder, windows, ingest."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.backend import VCpuSample
+from repro.core.config import ControllerConfig
+from repro.core.controller import ControllerReport
+from repro.core.estimator import Case, EstimatorDecision
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
     S_BACKEND_OPS,
@@ -136,31 +142,31 @@ class _FakeTimings:
         self.auction = self.distribute = self.enforce = total / 6.0
 
 
-class _FakeSample:
-    def __init__(self, vm, path):
-        self.vm_name = vm
-        self.cgroup_path = path
+def _sample(vm, path):
+    return VCpuSample(vm, 0, path, tid=0, consumed_cycles=0.0, core=0,
+                      core_freq_mhz=0.0, vfreq_mhz=0.0)
 
 
-class _FakeDecision:
-    def __init__(self, estimate):
-        self.estimate_cycles = estimate
+def _decision(estimate):
+    return EstimatorDecision(estimate, 0.0, Case.STABLE)
 
 
-class _FakeReport:
-    def __init__(self, samples, allocations, decisions):
-        self.timings = _FakeTimings(0.01)
-        self.samples = samples
-        self.allocations = allocations
-        self.decisions = decisions
-        self.degraded = []
-        self.t = 1.0
+def _report(samples, allocations, decisions):
+    report = ControllerReport(
+        t=1.0, samples=samples, allocations=allocations, decisions=decisions,
+    )
+    report.timings = _FakeTimings(0.01)
+    return report
 
 
 class _FakeController:
     def __init__(self, tenants, guarantees):
         self._vm_tenant = tenants
         self._guarantee = guarantees
+        self._vm_vfreq = {}
+        self.config = ControllerConfig()
+        self.enforcer = SimpleNamespace(quota_us=lambda cycles: 0)
+        self.machine_slice = "/machine.slice"
 
 
 class TestIngestReport:
@@ -171,14 +177,14 @@ class TestIngestReport:
             tenants={"vm-0": "a", "vm-1": "a", "vm-2": "b"},
             guarantees={"vm-0": 100.0, "vm-1": 100.0, "vm-2": 100.0},
         )
-        report = _FakeReport(
-            samples=[_FakeSample("vm-0", "/cg0"), _FakeSample("vm-1", "/cg1"),
-                     _FakeSample("vm-2", "/cg2")],
+        report = _report(
+            samples=[_sample("vm-0", "/cg0"), _sample("vm-1", "/cg1"),
+                     _sample("vm-2", "/cg2")],
             allocations={"/cg0": 50.0, "/cg1": 120.0, "/cg2": 90.0},
             decisions={
-                "/cg0": _FakeDecision(150.0),   # wanted >= g, got < g: bad
-                "/cg1": _FakeDecision(150.0),   # got >= g: good
-                "/cg2": _FakeDecision(80.0),    # demanded < g: not bad
+                "/cg0": _decision(150.0),   # wanted >= g, got < g: bad
+                "/cg1": _decision(150.0),   # got >= g: good
+                "/cg2": _decision(80.0),    # demanded < g: not bad
             },
         )
         bad, total = store.ingest_report(ctrl, report, node="n0")
@@ -193,8 +199,8 @@ class TestIngestReport:
     def test_vm_without_allocation_or_guarantee_skipped(self):
         store = SeriesStore(capacity=32)
         ctrl = _FakeController(tenants={"vm-0": "a"}, guarantees={})
-        report = _FakeReport(
-            samples=[_FakeSample("vm-0", "/cg0")],
+        report = _report(
+            samples=[_sample("vm-0", "/cg0")],
             allocations={}, decisions={},
         )
         assert store.ingest_report(ctrl, report) == (0, 0)

@@ -103,10 +103,8 @@ class TestHeadlineClaim:
         assert rebalanced.total_bad_vm_seconds < 0.8 * static.total_bad_vm_seconds
 
     def test_every_move_is_ledger_explainable(self, tmp_path):
-        from repro.rebalance.ledger import (
-            explain_move_from_entries,
-            load_rebalance_jsonl,
-        )
+        from repro.obs.jsonl import read_jsonl
+        from repro.rebalance.ledger import explain_move_from_entries
 
         path = str(tmp_path / "rebalance.jsonl")
         scenario = ClusterScenario(
@@ -115,7 +113,7 @@ class TestHeadlineClaim:
         )
         result = scenario.run()
         assert result.migrations > 0
-        entries = load_rebalance_jsonl(path)
+        entries = read_jsonl(path, kind="round")
         moved = {m["vm"] for e in entries for m in e["moves"] if m["executed"]}
         assert len(moved) > 0
         for vm_name in sorted(moved):
@@ -152,14 +150,21 @@ class TestSnapshotDialects:
         assert vm_name not in a3.vm_names
 
     def test_run_identical_under_both_dialects(self):
-        """The dialect knob changes round latency, never the result."""
+        """A planner fed the readable view of every arrays snapshot runs
+        the scenario to the identical result."""
         results = {}
         for dialect in ("view", "arrays"):
-            scenario = ClusterScenario(
+            cluster, loop = ClusterScenario(
                 name="mini", nodes=6, vms=260, duration=60.0, seed=3,
-                degrade_rate_per_s=0.05, rebalance_every=2, dialect=dialect,
-            )
-            results[dialect] = scenario.run().to_dict()
+                degrade_rate_per_s=0.05, rebalance_every=2,
+            ).build()
+            if dialect == "view":
+                plan = loop.planner.plan
+                loop.planner.plan = (
+                    lambda arrays, **kw: plan(arrays.to_view(), **kw)
+                )
+            results[dialect] = cluster.run(loop).to_dict()
+            loop.close()
         assert results["view"] == results["arrays"]
         assert results["view"]["migrations"] > 0
 
@@ -170,15 +175,9 @@ class TestSnapshotDialects:
         assert loop.rounds_total > 0
         assert len(loop.snapshot_durations) == loop.rounds_total
         assert len(loop.plan_durations) == loop.rounds_total
-        meta = loop.ledger.rounds[0]["meta"]
+        meta = loop.ledger.records[0]["meta"]
         assert meta["snapshot_seconds"] >= 0.0
         assert meta["plan_seconds"] >= 0.0
-
-    def test_invalid_dialect_rejected(self):
-        with pytest.raises(ValueError, match="dialect"):
-            RebalanceLoop(dialect="csv")
-        with pytest.raises(ValueError, match="dialect"):
-            ClusterScenario(name="bad", dialect="csv")
 
 
 class TestScenarioBuilders:

@@ -1,14 +1,14 @@
-"""RebalanceLedger ring, JSONL mirror, lookup and explain rendering."""
+"""Rebalance ledger: event-log ring, JSONL mirror, lookup and explain
+rendering."""
 
 import json
 
 import pytest
 
+from repro.obs.jsonl import EventLog, read_jsonl
 from repro.rebalance.ledger import (
-    RebalanceLedger,
     explain_move,
     explain_move_from_entries,
-    load_rebalance_jsonl,
     lookup_move,
 )
 
@@ -20,6 +20,11 @@ def round_entry(round_no, moves):
         "fragmentation_before": 0.1, "n_moves": len(moves),
     }
     return meta, moves
+
+
+def round_record(round_no, moves):
+    meta, moves = round_entry(round_no, moves)
+    return {"kind": "round", "meta": meta, "moves": moves}
 
 
 def move_record(vm="vm-1", reason="pressure", executed=True):
@@ -37,19 +42,19 @@ def move_record(vm="vm-1", reason="pressure", executed=True):
 
 class TestLedger:
     def test_ring_is_bounded(self):
-        ledger = RebalanceLedger(ring_rounds=3)
+        ledger = EventLog(ring=3)
         for i in range(5):
-            ledger.record_round(*round_entry(i, []))
-        rounds = [e["meta"]["round"] for e in ledger.rounds]
+            ledger.append(round_record(i, []))
+        rounds = [e["meta"]["round"] for e in ledger.records]
         assert rounds == [2, 3, 4]
 
     def test_jsonl_mirror_round_trips(self, tmp_path):
         path = str(tmp_path / "rebalance.jsonl")
-        ledger = RebalanceLedger(path=path)
-        ledger.record_round(*round_entry(0, [move_record()]))
-        ledger.record_round(*round_entry(1, []))
+        ledger = EventLog(path=path)
+        ledger.append(round_record(0, [move_record()]))
+        ledger.append(round_record(1, []))
         ledger.close()
-        entries = load_rebalance_jsonl(path)
+        entries = read_jsonl(path, kind="round")
         assert len(entries) == 2
         assert entries[0]["moves"][0]["vm"] == "vm-1"
 
@@ -61,23 +66,23 @@ class TestLedger:
             + json.dumps({"kind": "round", "meta": meta, "moves": moves})
             + "\n"
         )
-        entries = load_rebalance_jsonl(str(path))
+        entries = read_jsonl(str(path), kind="round")
         assert len(entries) == 1
 
     def test_lookup_returns_latest_match(self):
-        ledger = RebalanceLedger()
-        ledger.record_round(*round_entry(0, [move_record()]))
-        ledger.record_round(*round_entry(7, [move_record()]))
-        meta, move = ledger.lookup("vm-1")
+        ledger = EventLog()
+        ledger.append(round_record(0, [move_record()]))
+        ledger.append(round_record(7, [move_record()]))
+        meta, move = lookup_move(ledger, "vm-1")
         assert meta["round"] == 7
 
     def test_lookup_can_pin_a_round(self):
-        ledger = RebalanceLedger()
-        ledger.record_round(*round_entry(0, [move_record()]))
-        ledger.record_round(*round_entry(7, [move_record()]))
-        meta, _ = ledger.lookup("vm-1", round_no=0)
+        ledger = EventLog()
+        ledger.append(round_record(0, [move_record()]))
+        ledger.append(round_record(7, [move_record()]))
+        meta, _ = lookup_move(ledger, "vm-1", round_no=0)
         assert meta["round"] == 0
-        assert ledger.lookup("vm-1", round_no=3) is None
+        assert lookup_move(ledger, "vm-1", round_no=3) is None
 
     def test_lookup_unknown_vm(self):
         assert lookup_move([], "ghost") is None

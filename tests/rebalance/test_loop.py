@@ -4,7 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.jsonl import EventLog
 from repro.obs.tracing import RingSink, Tracer
+from repro.rebalance.arrays import ClusterStateArrays
 from repro.rebalance.loop import RebalanceLoop
 from repro.rebalance.planner import (
     MigrationPlan,
@@ -23,8 +25,8 @@ class FakeCluster:
         self.fail_for = set(fail_for)
         self.started = []
 
-    def rebalance_view(self):
-        return self.view
+    def rebalance_arrays(self):
+        return ClusterStateArrays.from_view(self.view)
 
     def start_migration(self, vm_name, target_id):
         if vm_name in self.fail_for:
@@ -102,7 +104,7 @@ class TestExecution:
         cluster = pressured_cluster(fail_for={"a"})
         loop.rebalance_once(cluster)
         assert loop.migrations_rejected == 1
-        records = loop.ledger.rounds[0]["moves"]
+        records = loop.ledger.records[0]["moves"]
         by_vm = {r["vm"]: r for r in records}
         assert by_vm["a"]["executed"] is False
         assert "vanished" in by_vm["a"]["reject_reason"]
@@ -114,20 +116,28 @@ class TestExecution:
         assert cluster.started == []  # nothing reached the cluster
         assert plan.moves == []
         assert plan.skipped.get("plan_rejected_by_oracle", 0) == 1
-        record = loop.ledger.rounds[0]["moves"][0]
+        record = loop.ledger.records[0]["moves"][0]
         assert record["executed"] is False
         assert "does not exist" in record["reject_reason"]
 
 
 class TestLedgerAndSpans:
+    def test_an_empty_log_passed_in_is_the_one_written(self):
+        """An empty log is falsy by length; the loop must still keep it."""
+        log = EventLog()
+        loop = RebalanceLoop(every=1, ledger=log)
+        assert loop.ledger is log
+        loop.rebalance_once(pressured_cluster())
+        assert len(log) == 1 and log.records[0]["kind"] == "round"
+
     def test_round_meta_recorded(self):
         loop = RebalanceLoop(every=4, seed=9)
         plan = loop.rebalance_once(pressured_cluster())
-        meta = loop.ledger.rounds[0]["meta"]
+        meta = loop.ledger.records[0]["meta"]
         assert meta["round"] == 0
         assert meta["seed"] == 9
         assert meta["every"] == 4
-        assert meta["n_moves"] == len(loop.ledger.rounds[0]["moves"])
+        assert meta["n_moves"] == len(loop.ledger.records[0]["moves"])
         assert meta["pressure_before_mhz"] == plan.pressure_before_mhz
         assert "round_seconds" in meta
 

@@ -154,7 +154,6 @@ EXPECTED = {
         "NodeView",
         "PlannedMove",
         "PlannerConfig",
-        "RebalanceLedger",
         "RebalanceLoop",
         "SimulatedArrays",
         "SimulatedNode",
@@ -162,13 +161,14 @@ EXPECTED = {
         "VmView",
         "explain_move",
         "explain_move_from_entries",
-        "load_rebalance_jsonl",
         "lookup_move",
     },
     "repro.obs": {
         "ObsConfig",
         "Observability",
-        "DecisionLedger",
+        "EventLog",
+        "read_jsonl",
+        "decision_rows",
         "FlightRecorder",
         "flight_dump_to_trace",
         "MetricsServer",
@@ -190,8 +190,6 @@ EXPECTED = {
         "SLOSpec",
         "BurnRateRule",
         "default_slos",
-        "AlertLedger",
-        "load_alerts_jsonl",
         "explain_alert",
         "AnomalyConfig",
         "EwmaDetector",
